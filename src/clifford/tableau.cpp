@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "la/complex.hpp"
-#include "obs/perf_counters.hpp"
 
 namespace qrc::clifford {
 
@@ -213,7 +212,6 @@ bool Tableau::apply(const Operation& op) {
 }
 
 std::optional<Tableau> Tableau::from_circuit(const ir::Circuit& circuit) {
-  obs::PerfScope perf(obs::PerfKernel::kTableauSweep);
   Tableau t(std::max(1, circuit.num_qubits()));
   for (const Operation& op : circuit.ops()) {
     if (!t.apply(op)) {

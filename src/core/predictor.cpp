@@ -8,7 +8,7 @@
 #include <stdexcept>
 
 #include "core/rollout.hpp"
-#include "obs/trace.hpp"
+#include "obs/stage.hpp"
 #include "rl/thread_pool.hpp"
 #include "rl/vec_env.hpp"
 #include "search/engine.hpp"
@@ -173,7 +173,7 @@ std::vector<CompilationResult> Predictor::compile_batch(
 
   // The shared batched greedy rollout core (also the search baseline).
   const auto episodes = [&] {
-    obs::AmbientSpan span("greedy_rollout");
+    obs::Stage stage(obs::StageId::kGreedyRollout);
     return run_greedy_episodes(agent_->policy(), circuits, env_config,
                                feature_index, pool);
   }();
@@ -201,7 +201,7 @@ std::vector<CompilationResult> Predictor::compile_batch(
   if (verify_options != nullptr) {
     // Post-compile verification gate: independent per circuit, so the
     // checks spread over the same worker pool as the rollout.
-    obs::AmbientSpan span("verify_gate");
+    obs::Stage stage(obs::StageId::kVerifyGate);
     pool.parallel_for(num_circuits, [&](int c) {
       auto& result = results[static_cast<std::size_t>(c)];
       result.verification =
@@ -280,7 +280,7 @@ std::vector<CompilationResult> Predictor::compile_search_all(
       };
     }
     search::SearchResult searched = [&] {
-      obs::AmbientSpan span("search_lookahead");
+      obs::Stage stage(obs::StageId::kSearchLookahead);
       return search::run_search(circuits[c], context, options, pool,
                                 per_circuit);
     }();
@@ -306,6 +306,7 @@ std::vector<CompilationResult> Predictor::compile_search_all(
   }
 
   if (verify_options != nullptr) {
+    obs::Stage stage(obs::StageId::kVerifyGate);
     pool.parallel_for(num_circuits, [&](int c) {
       auto& result = results[static_cast<std::size_t>(c)];
       result.verification =

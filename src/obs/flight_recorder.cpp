@@ -8,6 +8,7 @@
 #include <cstring>
 #include <ctime>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace qrc::obs {
@@ -26,28 +27,6 @@ void copy_field(char (&dst)[N], std::string_view src) {
   const std::size_t n = std::min(src.size(), N - 1);
   std::memcpy(dst, src.data(), n);
   dst[n] = '\0';
-}
-
-void append_json_escaped(std::string& out, const char* v) {
-  for (; *v != '\0'; ++v) {
-    const char c = *v;
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned char>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 int g_sigquit_fd = 2;
@@ -126,11 +105,11 @@ std::string FlightRecorder::dump_json() const {
                   static_cast<long long>(ev.wall_us));
     out += head;
     out += flight_event_kind_name(ev.kind);
-    out += "\",\"tag\":\"";
-    append_json_escaped(out, ev.tag);
-    out += "\",\"detail\":\"";
-    append_json_escaped(out, ev.detail);
-    out += "\"}";
+    out += "\",\"tag\":";
+    out += json_quote(ev.tag);
+    out += ",\"detail\":";
+    out += json_quote(ev.detail);
+    out += '}';
   }
   out += ']';
   return out;

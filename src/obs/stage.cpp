@@ -1,7 +1,9 @@
-#include "obs/perf_counters.hpp"
+#include "obs/stage.hpp"
 
 #include <atomic>
 #include <cstring>
+#include <iterator>
+#include <string>
 
 #include "obs/metrics.hpp"
 
@@ -19,15 +21,15 @@ constexpr int kNumEvents = 6;  // cycles, instr, cache refs/misses, br/miss
 
 std::atomic<bool> g_perf_enabled{false};
 // 0 = unprobed, 1 = available, 2 = unavailable. Probed by the first
-// armed scope; once unavailable, later scopes skip the syscall entirely.
+// counting stage; once unavailable, later stages skip the syscall.
 std::atomic<int> g_perf_status{0};
 
-struct KernelTotals {
+struct AtomicTotals {
   std::atomic<std::uint64_t> scopes{0};
   std::atomic<std::uint64_t> values[kNumEvents] = {};
 };
 
-KernelTotals g_totals[static_cast<int>(PerfKernel::kCount)];
+AtomicTotals g_totals[static_cast<int>(StageId::kCount)];
 
 #if defined(__linux__)
 
@@ -118,24 +120,15 @@ bool read_group(std::uint64_t out[kNumEvents]) {
 
 }  // namespace
 
-std::string_view perf_kernel_name(PerfKernel kernel) {
-  switch (kernel) {
-    case PerfKernel::kMlpForward:
-      return "mlp_forward";
-    case PerfKernel::kTableauSweep:
-      return "tableau_sweep";
-    case PerfKernel::kSearchExpand:
-      return "search_expand";
-    case PerfKernel::kVerifyClifford:
-      return "verify_clifford";
-    case PerfKernel::kVerifyMiter:
-      return "verify_miter";
-    case PerfKernel::kVerifyStimuli:
-      return "verify_stimuli";
-    case PerfKernel::kCount:
-      break;
-  }
-  return "unknown";
+std::string_view stage_name(StageId id) {
+  static constexpr std::string_view kNames[] = {
+      "greedy_rollout", "policy_forward", "env_step",
+      "verify_gate",    "search_lookahead", "leaf_eval",
+      "search_expand",  "tableau_sweep",  "verify_clifford",
+      "verify_miter",   "verify_stimuli"};
+  static_assert(std::size(kNames) == static_cast<std::size_t>(StageId::kCount));
+  const auto i = static_cast<std::size_t>(id);
+  return i < std::size(kNames) ? kNames[i] : "unknown";
 }
 
 bool perf_enabled() {
@@ -150,9 +143,9 @@ bool perf_available() {
   return g_perf_status.load(std::memory_order_relaxed) == 1;
 }
 
-PerfKernelTotals perf_kernel_totals(PerfKernel kernel) {
-  PerfKernelTotals t;
-  const auto& src = g_totals[static_cast<int>(kernel)];
+StageTotals stage_totals(StageId id) {
+  StageTotals t;
+  const auto& src = g_totals[static_cast<int>(id)];
   t.scopes = src.scopes.load(std::memory_order_relaxed);
   t.cycles = src.values[0].load(std::memory_order_relaxed);
   t.instructions = src.values[1].load(std::memory_order_relaxed);
@@ -163,7 +156,7 @@ PerfKernelTotals perf_kernel_totals(PerfKernel kernel) {
   return t;
 }
 
-void reset_perf_totals() {
+void reset_stage_totals() {
   for (auto& k : g_totals) {
     k.scopes.store(0, std::memory_order_relaxed);
     for (auto& v : k.values) {
@@ -172,98 +165,101 @@ void reset_perf_totals() {
   }
 }
 
-PerfScope::PerfScope(PerfKernel kernel) : kernel_(kernel) {
+Stage::Stage(StageId id) : id_(id) {
+  const TracePosition pos = trace_position();
+  if (pos.ctx != nullptr) {
+    ctx_ = pos.ctx;
+    outer_span_ = pos.span;
+    span_ = pos.span >= 0 ? ctx_->begin_span(stage_name(id), pos.span)
+                          : ctx_->begin_span(stage_name(id));
+    set_trace_position({ctx_, span_});
+  }
   if (!perf_enabled()) {
-    return;  // the advertised one-branch cost when the switch is off
+    return;
   }
 #if defined(__linux__)
   if (!thread_group_ready()) {
     return;  // clean skip: syscall refused on this host/runner
   }
-  std::uint64_t now[kNumEvents];
-  if (!read_group(now)) {
-    return;
-  }
-  for (int i = 0; i < kNumEvents; ++i) {
-    begin_[i] = now[i];
-  }
-  armed_ = true;
+  counting_ = read_group(begin_);
 #endif
 }
 
-PerfScope::~PerfScope() {
-  if (!armed_) {
-    return;
-  }
+Stage::~Stage() {
 #if defined(__linux__)
   std::uint64_t now[kNumEvents];
-  if (!read_group(now)) {
-    return;
-  }
-  auto& totals = g_totals[static_cast<int>(kernel_)];
-  for (int i = 0; i < kNumEvents; ++i) {
-    if (now[i] >= begin_[i]) {
-      totals.values[i].fetch_add(now[i] - begin_[i],
-                                 std::memory_order_relaxed);
+  if (counting_ && read_group(now)) {
+    auto& totals = g_totals[static_cast<int>(id_)];
+    for (int i = 0; i < kNumEvents; ++i) {
+      if (now[i] >= begin_[i]) {
+        totals.values[i].fetch_add(now[i] - begin_[i],
+                                   std::memory_order_relaxed);
+      }
     }
+    totals.scopes.fetch_add(1, std::memory_order_relaxed);
   }
-  totals.scopes.fetch_add(1, std::memory_order_relaxed);
 #endif
+  if (ctx_ != nullptr) {
+    ctx_->end_span(span_);
+    set_trace_position({ctx_, outer_span_});
+  }
 }
 
 void publish_perf_metrics(MetricsRegistry& registry) {
   registry
       .gauge("qrc_profile_perf_available",
              "1 when perf_event_open works on this host, 0 after a refused "
-             "probe, -1 before the first armed scope")
+             "probe, -1 before the first counting stage")
       .set(g_perf_status.load(std::memory_order_relaxed) == 1
                ? 1
                : (g_perf_status.load(std::memory_order_relaxed) == 2 ? 0
                                                                      : -1));
   registry
       .gauge("qrc_profile_perf_enabled",
-             "1 when the per-kernel hardware counter switch is on")
+             "1 when the per-stage hardware counter switch is on")
       .set(perf_enabled() ? 1 : 0);
-  for (int k = 0; k < static_cast<int>(PerfKernel::kCount); ++k) {
-    const auto kernel = static_cast<PerfKernel>(k);
-    const PerfKernelTotals t = perf_kernel_totals(kernel);
-    const Labels labels = {{"kernel", std::string(perf_kernel_name(kernel))}};
-    registry
-        .gauge("qrc_profile_scopes_total",
-               "completed hardware-counter sections per kernel", labels)
+  // Every series is inclusive of the stages nested inside it and covers
+  // only the thread that opened each stage.
+  const std::string per = " per stage, inclusive of nested stages, on the "
+                          "opening thread only";
+  for (int k = 0; k < static_cast<int>(StageId::kCount); ++k) {
+    const auto id = static_cast<StageId>(k);
+    const StageTotals t = stage_totals(id);
+    const Labels labels = {{"kernel", std::string(stage_name(id))}};
+    registry.gauge("qrc_profile_scopes_total", "completed counted stages" + per,
+                   labels)
         .set(static_cast<std::int64_t>(t.scopes));
-    registry
-        .gauge("qrc_profile_cycles_total", "user-space CPU cycles per kernel",
-               labels)
+    registry.gauge("qrc_profile_cycles_total", "user-space CPU cycles" + per,
+                   labels)
         .set(static_cast<std::int64_t>(t.cycles));
     registry
         .gauge("qrc_profile_instructions_total",
-               "retired instructions per kernel", labels)
+               "retired instructions" + per, labels)
         .set(static_cast<std::int64_t>(t.instructions));
     registry
         .gauge("qrc_profile_cache_misses_total",
-               "last-level cache misses per kernel", labels)
+               "last-level cache misses" + per, labels)
         .set(static_cast<std::int64_t>(t.cache_misses));
     registry
         .gauge("qrc_profile_branch_misses_total",
-               "mispredicted branches per kernel", labels)
+               "mispredicted branches" + per, labels)
         .set(static_cast<std::int64_t>(t.branch_misses));
     registry
         .float_gauge("qrc_profile_ipc",
-                     "instructions per cycle per kernel (0 when unmeasured)",
+                     "instructions per cycle (0 when unmeasured)" + per,
                      labels)
         .set(t.cycles > 0 ? static_cast<double>(t.instructions) /
                                 static_cast<double>(t.cycles)
                           : 0.0);
     registry
         .float_gauge("qrc_profile_cache_miss_rate",
-                     "cache misses / cache references per kernel", labels)
+                     "cache misses / cache references" + per, labels)
         .set(t.cache_refs > 0 ? static_cast<double>(t.cache_misses) /
                                     static_cast<double>(t.cache_refs)
                               : 0.0);
     registry
         .float_gauge("qrc_profile_branch_miss_rate",
-                     "branch misses / branches per kernel", labels)
+                     "branch misses / branches" + per, labels)
         .set(t.branches > 0 ? static_cast<double>(t.branch_misses) /
                                   static_cast<double>(t.branches)
                             : 0.0);

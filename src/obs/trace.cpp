@@ -1,75 +1,19 @@
 #include "obs/trace.hpp"
 
-#include <atomic>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <algorithm>
+
+#include "obs/json.hpp"
 
 namespace qrc::obs {
 
 namespace {
 
-// -1 = not yet initialized from the environment; 0/1 = resolved.
-std::atomic<int> g_detail{-1};
-
-thread_local TraceContext* t_current = nullptr;
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-std::string json_number(double v) {
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    return buf;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+thread_local TracePosition t_position;
 
 }  // namespace
 
-bool detail_enabled() {
-  int v = g_detail.load(std::memory_order_relaxed);
-  if (v < 0) {
-    const char* env = std::getenv("QRC_OBS_DETAIL");
-    v = (env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0'))
-            ? 1
-            : 0;
-    g_detail.store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
-}
-
-void set_detail_enabled(bool on) {
-  g_detail.store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
-TraceContext* TraceContext::current() { return t_current; }
-void TraceContext::set_current(TraceContext* ctx) { t_current = ctx; }
+TracePosition trace_position() { return t_position; }
+void set_trace_position(TracePosition position) { t_position = position; }
 
 TraceContext::TraceContext(std::string request_id, std::size_t max_spans)
     : TraceContext(std::move(request_id), std::chrono::steady_clock::now(),
@@ -162,10 +106,10 @@ void TraceContext::attr_json(int id, std::string_view key,
 }
 
 void TraceContext::attr(int id, std::string_view key, std::string_view value) {
-  attr_json(id, key, json_escape(value));
+  attr_json(id, key, json_quote(value));
 }
 void TraceContext::attr(int id, std::string_view key, const char* value) {
-  attr_json(id, key, json_escape(value));
+  attr_json(id, key, json_quote(value));
 }
 void TraceContext::attr(int id, std::string_view key, std::int64_t value) {
   attr_json(id, key, std::to_string(value));
@@ -245,7 +189,7 @@ std::string TraceContext::to_json() const {
   std::string out;
   const auto render = [&](const auto& self, int idx) -> void {
     const Span& span = spans_[static_cast<std::size_t>(idx)];
-    out += "{\"name\":" + json_escape(span.name);
+    out += "{\"name\":" + json_quote(span.name);
     out += ",\"start_us\":" + std::to_string(span.start_us);
     out += ",\"duration_us\":" +
            std::to_string(span.duration_us < 0 ? 0 : span.duration_us);
@@ -255,7 +199,7 @@ std::string TraceContext::to_json() const {
       for (const auto& [key, value] : span.attrs) {
         if (!first) out += ',';
         first = false;
-        out += json_escape(key) + ":" + value;
+        out += json_quote(key) + ":" + value;
       }
       out += '}';
     }
@@ -270,7 +214,7 @@ std::string TraceContext::to_json() const {
     }
     out += '}';
   };
-  out += "{\"id\":" + json_escape(request_id_);
+  out += "{\"id\":" + json_quote(request_id_);
   out += ",\"dropped\":" + std::to_string(dropped_);
   out += ",\"spans\":[";
   for (std::size_t r = 0; r < roots.size(); ++r) {

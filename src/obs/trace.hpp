@@ -1,21 +1,17 @@
 /// \file trace.hpp
 /// \brief Per-request tracing: a TraceContext allocated at frame decode
 ///        carries a request id through lanes, the batched rollout core,
-///        search, and verify dispatch, recording scoped spans into a
-///        bounded buffer renderable as a JSON span tree.
+///        search, and verify dispatch, recording spans into a bounded
+///        buffer renderable as a JSON span tree.
 ///
-/// Two instrumentation tiers:
-///  - Coarse spans (queue wait, batch, rollout, search, verify) are
-///    recorded whenever a request asked for a trace; their cost is a
-///    handful of clock reads per request.
-///  - Detail spans (per-step policy forward / env step, search leaf
-///    evaluation) ride behind the QRC_OBS_DETAIL env knob via DetailTimer,
-///    whose disabled cost is exactly one branch.
+/// The service records the coarse spans (queue wait, batch, rollout,
+/// search, verify) explicitly; the pipeline's interior sections record
+/// through obs::Stage (obs/stage.hpp) whenever a context is ambient.
 ///
 /// Threading: a TraceContext is internally locked, so lane threads and
-/// pool workers may append concurrently. The thread-local `current()`
-/// pointer makes a context ambient for code (rollout core, search engine)
-/// that has no request plumbing of its own.
+/// pool workers may append concurrently. The thread-local TracePosition
+/// makes a context ambient for code (rollout core, search engine) that
+/// has no request plumbing of its own.
 #pragma once
 
 #include <chrono>
@@ -26,11 +22,6 @@
 #include <vector>
 
 namespace qrc::obs {
-
-/// Detail-span switch: initialized from the QRC_OBS_DETAIL env var
-/// (unset/"0" = off), overridable at runtime.
-[[nodiscard]] bool detail_enabled();
-void set_detail_enabled(bool on);
 
 class TraceContext {
  public:
@@ -82,7 +73,7 @@ class TraceContext {
 
   /// Copies every span of `other` under `parent`, rebasing timestamps
   /// from `other`'s epoch onto this context's. Used to merge a batch-local
-  /// detail collector into the per-request trace.
+  /// stage collector into the per-request trace.
   void adopt(const TraceContext& other, int parent);
 
   [[nodiscard]] std::uint64_t dropped() const;
@@ -93,10 +84,6 @@ class TraceContext {
   [[nodiscard]] std::string to_json() const;
   /// Human-readable indented tree for `qrc compile --trace`.
   [[nodiscard]] std::string to_text() const;
-
-  /// Thread-local ambient context consumed by DetailTimer / AmbientSpan.
-  [[nodiscard]] static TraceContext* current();
-  static void set_current(TraceContext* ctx);
 
  private:
   struct Span {
@@ -119,87 +106,34 @@ class TraceContext {
   int ambient_parent_ = kNoParent;
 };
 
-/// RAII span on an explicit context; no-op when `ctx` is null.
-class ScopedSpan {
- public:
-  ScopedSpan(TraceContext* ctx, std::string_view name)
-      : ctx_(ctx), id_(ctx ? ctx->begin_span(name) : TraceContext::kDropped) {}
-  ScopedSpan(TraceContext* ctx, std::string_view name, int parent)
-      : ctx_(ctx),
-        id_(ctx ? ctx->begin_span(name, parent) : TraceContext::kDropped) {}
-  ~ScopedSpan() {
-    if (ctx_ != nullptr) ctx_->end_span(id_);
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-  [[nodiscard]] int id() const { return id_; }
-  [[nodiscard]] TraceContext* context() const { return ctx_; }
-  template <typename V>
-  void attr(std::string_view key, V value) {
-    if (ctx_ != nullptr) ctx_->attr(id_, key, value);
-  }
-
- private:
-  TraceContext* ctx_;
-  int id_;
+/// A thread's place in a trace: the ambient context obs::Stage records
+/// into, and the span of the innermost open stage on it (kNoParent: the
+/// context's ambient parent).
+struct TracePosition {
+  TraceContext* ctx = nullptr;
+  int span = TraceContext::kNoParent;
 };
 
-/// Coarse RAII span on the thread-ambient context; records only when a
-/// trace is active on this thread (one TLS load + branch otherwise).
-class AmbientSpan {
- public:
-  explicit AmbientSpan(std::string_view name) : ctx_(TraceContext::current()) {
-    if (ctx_ != nullptr) id_ = ctx_->begin_span(name);
-  }
-  ~AmbientSpan() {
-    if (ctx_ != nullptr) ctx_->end_span(id_);
-  }
-  AmbientSpan(const AmbientSpan&) = delete;
-  AmbientSpan& operator=(const AmbientSpan&) = delete;
-  template <typename V>
-  void attr(std::string_view key, V value) {
-    if (ctx_ != nullptr) ctx_->attr(id_, key, value);
-  }
+/// The calling thread's position (thread-local).
+[[nodiscard]] TracePosition trace_position();
+void set_trace_position(TracePosition position);
 
- private:
-  TraceContext* ctx_;
-  int id_ = TraceContext::kDropped;
-};
-
-/// Hot-path profiling hook: compiles to a single branch when
-/// QRC_OBS_DETAIL is off, and to an AmbientSpan when on.
-class DetailTimer {
- public:
-  explicit DetailTimer(const char* name) {
-    if (!detail_enabled()) return;  // the one branch
-    ctx_ = TraceContext::current();
-    if (ctx_ != nullptr) id_ = ctx_->begin_span(name);
-  }
-  ~DetailTimer() {
-    if (ctx_ != nullptr) ctx_->end_span(id_);
-  }
-  DetailTimer(const DetailTimer&) = delete;
-  DetailTimer& operator=(const DetailTimer&) = delete;
-
- private:
-  TraceContext* ctx_ = nullptr;
-  int id_ = TraceContext::kDropped;
-};
-
-/// RAII setter for the thread-local current(), restoring the previous
-/// context on scope exit.
+/// RAII setter for the thread-local position, restoring the previous one
+/// on scope exit.
 class CurrentTraceScope {
  public:
   explicit CurrentTraceScope(TraceContext* ctx)
-      : prev_(TraceContext::current()) {
-    TraceContext::set_current(ctx);
+      : CurrentTraceScope(TracePosition{ctx}) {}
+  explicit CurrentTraceScope(TracePosition position)
+      : prev_(trace_position()) {
+    set_trace_position(position);
   }
-  ~CurrentTraceScope() { TraceContext::set_current(prev_); }
+  ~CurrentTraceScope() { set_trace_position(prev_); }
   CurrentTraceScope(const CurrentTraceScope&) = delete;
   CurrentTraceScope& operator=(const CurrentTraceScope&) = delete;
 
  private:
-  TraceContext* prev_;
+  TracePosition prev_;
 };
 
 }  // namespace qrc::obs

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "clifford/tableau.hpp"
+#include "obs/stage.hpp"
 #include "passes/blocks.hpp"
 
 namespace qrc::passes {
@@ -19,6 +20,9 @@ bool clifford_resynthesize(Circuit& circuit, const PassContext& ctx,
   if (blocks.empty()) {
     return false;
   }
+  // One stage per pass call, not per block: a wide circuit has hundreds
+  // of blocks, which would flood a trace's bounded span buffer.
+  obs::Stage stage(obs::StageId::kTableauSweep);
   std::vector<bool> removed(circuit.size(), false);
   std::vector<std::pair<int, std::vector<Operation>>> insertions;
   bool changed = false;

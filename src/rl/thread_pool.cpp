@@ -49,6 +49,7 @@ void WorkerPool::worker_loop() {
   obs::Profiler::enroll_current_thread();
   std::uint64_t seen_generation = 0;
   while (true) {
+    obs::TracePosition position;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       work_cv_.wait(lock, [&] {
@@ -58,8 +59,12 @@ void WorkerPool::worker_loop() {
         return;
       }
       seen_generation = generation_;
+      position = job_position_;
     }
-    run_indices();
+    {
+      const obs::CurrentTraceScope scope(position);
+      run_indices();
+    }
     {
       std::lock_guard<std::mutex> lock(mutex_);
       --workers_active_;
@@ -82,6 +87,7 @@ void WorkerPool::parallel_for(int n, const std::function<void(int)>& fn) {
     std::lock_guard<std::mutex> lock(mutex_);
     job_ = &fn;
     job_size_ = n;
+    job_position_ = obs::trace_position();
     next_index_.store(0, std::memory_order_relaxed);
     workers_active_ = static_cast<int>(threads_.size());
     first_error_ = nullptr;

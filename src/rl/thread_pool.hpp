@@ -14,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/trace.hpp"
+
 namespace qrc::rl {
 
 /// Fixed-size pool of worker threads. A pool of size <= 1 executes jobs
@@ -36,6 +38,10 @@ class WorkerPool {
   ///
   /// fn must only write to state owned by its index; under that contract
   /// the outcome is deterministic for any pool size.
+  ///
+  /// The caller's trace position (ambient context and innermost open
+  /// obs::Stage) is handed to the workers for the job, so stages opened
+  /// in fn record under the caller's stage whichever thread runs i.
   void parallel_for(int n, const std::function<void(int)>& fn);
 
  private:
@@ -54,6 +60,7 @@ class WorkerPool {
   // Current job (valid while workers_active_ > 0).
   const std::function<void(int)>* job_ = nullptr;
   int job_size_ = 0;
+  obs::TracePosition job_position_;
   std::atomic<int> next_index_{0};
   int workers_active_ = 0;
   std::exception_ptr first_error_;

@@ -14,7 +14,7 @@
 #include <utility>
 
 #include "core/rollout.hpp"
-#include "obs/perf_counters.hpp"
+#include "obs/stage.hpp"
 #include "rl/thread_pool.hpp"
 #include "search/internal.hpp"
 
@@ -142,7 +142,7 @@ SearchResult beam_search(const ir::Circuit& circuit,
     const std::uint64_t step_seed =
         core::CompilationEnv::step_seed(seed, 1, depth);
     {
-      obs::PerfScope perf(obs::PerfKernel::kSearchExpand);
+      obs::Stage stage(obs::StageId::kSearchExpand);
       pool.parallel_for(static_cast<int>(candidates.size()), [&](int ci) {
         auto& c = candidates[static_cast<std::size_t>(ci)];
         const auto& entry = frontier[static_cast<std::size_t>(c.entry)];

@@ -3,8 +3,7 @@
 #include <stdexcept>
 
 #include "ir/qasm.hpp"
-#include "obs/perf_counters.hpp"
-#include "obs/trace.hpp"
+#include "obs/stage.hpp"
 #include "reward/reward.hpp"
 #include "rl/categorical.hpp"
 #include "rl/mlp.hpp"
@@ -55,8 +54,7 @@ void BatchEvaluator::evaluate(const std::vector<double>& observations,
     }
     return;
   }
-  obs::DetailTimer timer("leaf_eval");
-  obs::PerfScope perf(obs::PerfKernel::kMlpForward);
+  obs::Stage stage(obs::StageId::kLeafEval);
   if (probs_out != nullptr) {
     context_.policy->forward_batch(observations, batch, logits_, &pool_);
     const rl::BatchedMaskedCategorical dist(logits_, masks);

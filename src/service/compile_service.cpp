@@ -446,17 +446,18 @@ void CompileService::process_batch(Lane& lane, std::vector<Pending> batch) {
     }
 
     std::vector<core::CompilationResult> results(slots.size());
-    // Detail collector: while the fused rollout runs, the rollout core's
-    // DetailTimer spans (policy forward / env step) land here and are
-    // re-parented under each traced request's "rollout" span afterwards.
-    std::optional<obs::TraceContext> rollout_detail;
+    // Stage collector: while the fused rollout runs, the pipeline's
+    // obs::Stage spans (greedy_rollout, policy_forward, env_step, ...) land
+    // here and are re-parented under each traced request's "rollout" span
+    // afterwards.
+    std::optional<obs::TraceContext> rollout_stages;
     if (any_traced_greedy && !greedy_circuits.empty()) {
-      rollout_detail.emplace("rollout");
+      rollout_stages.emplace("rollout");
     }
     const auto rollout_start = Clock::now();
     {
       obs::CurrentTraceScope scope(
-          rollout_detail.has_value() ? &*rollout_detail : nullptr);
+          rollout_stages.has_value() ? &*rollout_stages : nullptr);
       auto greedy_results =
           lane.model->compile_all(greedy_circuits, lane.pool.get());
       for (std::size_t g = 0; g < greedy_slots.size(); ++g) {
@@ -479,8 +480,8 @@ void CompileService::process_batch(Lane& lane, std::vector<Pending> batch) {
           us_between(rollout_start, rollout_end));
       ctx.attr(span, "fused_circuits",
                static_cast<std::int64_t>(greedy_circuits.size()));
-      if (rollout_detail.has_value()) {
-        ctx.adopt(*rollout_detail, span);
+      if (rollout_stages.has_value()) {
+        ctx.adopt(*rollout_stages, span);
       }
     }
 
@@ -513,14 +514,14 @@ void CompileService::process_batch(Lane& lane, std::vector<Pending> batch) {
           partials_total_->inc(listeners.size());
         };
       }
-      std::optional<obs::TraceContext> search_detail;
+      std::optional<obs::TraceContext> search_stages;
       if (!traced_requesters.empty()) {
-        search_detail.emplace("search");
+        search_stages.emplace("search");
       }
       const auto search_start = Clock::now();
       {
         obs::CurrentTraceScope scope(
-            search_detail.has_value() ? &*search_detail : nullptr);
+            search_stages.has_value() ? &*search_stages : nullptr);
         results[s] =
             lane.model
                 ->compile_search_all(
@@ -548,8 +549,8 @@ void CompileService::process_batch(Lane& lane, std::vector<Pending> batch) {
           ctx.attr(span, "improved", st.improved);
           ctx.attr(span, "deadline_hit", st.deadline_hit);
         }
-        if (search_detail.has_value()) {
-          ctx.adopt(*search_detail, span);
+        if (search_stages.has_value()) {
+          ctx.adopt(*search_stages, span);
         }
       }
     }
@@ -568,6 +569,8 @@ void CompileService::process_batch(Lane& lane, std::vector<Pending> batch) {
       verify::VerifyResult verdict;
       Clock::time_point start;
       std::int64_t duration_us = 0;
+      // Collects the verifier's tier stage when a requester is traced.
+      std::unique_ptr<obs::TraceContext> stages;
     };
     std::vector<VerifyUnit> units;
     std::vector<std::size_t> unit_of_slot(slots.size(), kNoSlot);
@@ -579,18 +582,23 @@ void CompileService::process_batch(Lane& lane, std::vector<Pending> batch) {
       if (batch[i].cached_result.has_value()) {
         unit_of_request[i] = units.size();
         units.push_back({&batch[i].circuit, &*batch[i].cached_result, {},
-                         Clock::time_point{}, 0});
+                         Clock::time_point{}, 0, nullptr});
       } else if (unit_of_slot[slot[i]] == kNoSlot) {
         unit_of_slot[slot[i]] = units.size();
         unit_of_request[i] = units.size();
         units.push_back({&batch[i].circuit, &results[slot[i]], {},
-                         Clock::time_point{}, 0});
+                         Clock::time_point{}, 0, nullptr});
       } else {
         unit_of_request[i] = unit_of_slot[slot[i]];
+      }
+      auto& stages = units[unit_of_request[i]].stages;
+      if (batch[i].trace != nullptr && stages == nullptr) {
+        stages = std::make_unique<obs::TraceContext>("verify");
       }
     }
     lane.pool->parallel_for(static_cast<int>(units.size()), [&](int u) {
       auto& unit = units[static_cast<std::size_t>(u)];
+      const obs::CurrentTraceScope scope(unit.stages.get());
       unit.start = Clock::now();
       unit.verdict = core::verify_compilation(*unit.original, *unit.result,
                                               config_.verify_options);
@@ -628,6 +636,7 @@ void CompileService::process_batch(Lane& lane, std::vector<Pending> batch) {
           ctx.attr(span, "verdict",
                    verify::verdict_name(unit.verdict.verdict));
           ctx.attr(span, "confidence", unit.verdict.confidence);
+          ctx.adopt(*unit.stages, span);
         }
       }
       if (!response.cached && response.result.search_stats.has_value()) {

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -271,18 +270,6 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-std::string dump_number(double d) {
-  if (!std::isfinite(d)) {
-    return "null";  // JSON has no Inf/NaN
-  }
-  if (d == std::floor(d) && std::abs(d) < 9.007199254740992e15) {
-    return std::to_string(static_cast<long long>(d));
-  }
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", d);
-  return buffer;
-}
-
 }  // namespace
 
 bool JsonValue::as_bool() const {
@@ -332,7 +319,7 @@ std::string JsonValue::dump() const {
     return as_bool() ? "true" : "false";
   }
   if (is_number()) {
-    return dump_number(as_number());
+    return obs::json_number(as_number());
   }
   if (is_string()) {
     return json_quote(as_string());
@@ -355,31 +342,6 @@ std::string JsonValue::dump() const {
     out += json_quote(key) + ":" + v.dump();
   }
   return out + "}";
-}
-
-std::string json_quote(std::string_view s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned char>(c));
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out + "\"";
 }
 
 std::string_view serve_op_name(ServeOp op) {
@@ -487,7 +449,7 @@ ServeRequest parse_serve_request(std::string_view line) {
     if (it->second.is_string()) {
       request.id = it->second.as_string();
     } else if (it->second.is_number()) {
-      request.id = dump_number(it->second.as_number());
+      request.id = obs::json_number(it->second.as_number());
     } else {
       bad_request("'id' must be a string or number");
     }
@@ -583,7 +545,7 @@ std::string extract_request_id(std::string_view line) {
       return it->second.as_string();
     }
     if (it->second.is_number()) {
-      return dump_number(it->second.as_number());
+      return obs::json_number(it->second.as_number());
     }
   } catch (const std::exception&) {
     // Malformed line: no id to recover.
@@ -615,7 +577,7 @@ std::string serve_response_line(const ServiceResponse& r, int version) {
   }
   out += ",\"model\":" + json_quote(r.model);
   out += ",\"qasm\":" + json_quote(ir::to_qasm(r.result.circuit));
-  out += ",\"reward\":" + dump_number(r.result.reward);
+  out += ",\"reward\":" + obs::json_number(r.result.reward);
   out += ",\"device\":";
   out += r.result.device != nullptr ? json_quote(r.result.device->name())
                                     : "null";
@@ -628,7 +590,7 @@ std::string serve_response_line(const ServiceResponse& r, int version) {
     const auto& v = *r.result.verification;
     out += ",\"verdict\":" + json_quote(verify::verdict_name(v.verdict));
     out += ",\"verify_method\":" + json_quote(verify::method_name(v.method));
-    out += ",\"verify_confidence\":" + dump_number(v.confidence);
+    out += ",\"verify_confidence\":" + obs::json_number(v.confidence);
   }
   if (r.result.search_stats.has_value()) {
     const auto& s = *r.result.search_stats;
@@ -641,7 +603,7 @@ std::string serve_response_line(const ServiceResponse& r, int version) {
     out += ",\"search_deadline_hit\":";
     out += s.deadline_hit ? "true" : "false";
     out += ",\"search_reward_delta\":" +
-           dump_number(r.result.reward - s.baseline_reward);
+           obs::json_number(r.result.reward - s.baseline_reward);
   }
   if (r.trace != nullptr) {
     out += ",\"trace\":" + r.trace->to_json();
@@ -659,7 +621,7 @@ std::string serve_partial_line(std::string_view id,
   out += ",\"nodes\":" + std::to_string(progress.nodes_expanded);
   out += ",\"found_terminal\":";
   out += progress.found_terminal ? "true" : "false";
-  out += ",\"best_reward\":" + dump_number(progress.best_reward);
+  out += ",\"best_reward\":" + obs::json_number(progress.best_reward);
   out += ",\"elapsed_us\":" + std::to_string(progress.elapsed_us);
   return out + "}";
 }

@@ -12,6 +12,7 @@
 #include <variant>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "search/search.hpp"
 #include "service/compile_service.hpp"
 #include "service/errors.hpp"
@@ -73,9 +74,8 @@ class JsonValue {
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object> v_;
 };
 
-/// `s` as a JSON string literal: surrounding quotes plus escapes for
-/// quote, backslash, and control characters.
-[[nodiscard]] std::string json_quote(std::string_view s);
+/// `s` as a JSON string literal (the shared obs encoder).
+using obs::json_quote;
 
 // ------------------------------------------------------ serve protocol ---
 

@@ -10,7 +10,7 @@
 #include "clifford/tableau.hpp"
 #include "ir/gate.hpp"
 #include "ir/sim.hpp"
-#include "obs/perf_counters.hpp"
+#include "obs/stage.hpp"
 #include "verify/sparse_state.hpp"
 
 namespace qrc::verify {
@@ -667,7 +667,7 @@ VerifyResult EquivalenceChecker::check(
   // ---- tier 1: Clifford Pauli flow (any width) --------------------------
   if (clifford::is_clifford_circuit(a_n) &&
       clifford::is_clifford_circuit(b_n)) {
-    obs::PerfScope perf(obs::PerfKernel::kVerifyClifford);
+    obs::Stage stage(obs::StageId::kVerifyClifford);
     std::vector<int> identity(static_cast<std::size_t>(n));
     std::iota(identity.begin(), identity.end(), 0);
     // Same width and no ancillas: the flow conditions are necessary and
@@ -703,7 +703,7 @@ VerifyResult EquivalenceChecker::check(
 
   // ---- tier 2: alternating miter (exact, <= max_miter_qubits) -----------
   if (n <= options_.max_miter_qubits) {
-    obs::PerfScope perf(obs::PerfKernel::kVerifyMiter);
+    obs::Stage stage(obs::StageId::kVerifyMiter);
     double divergence = -1.0;
     if (alternating_miter_equivalent(a_n, b_n, n, options_.atol,
                                      &divergence)) {
@@ -738,7 +738,7 @@ VerifyResult EquivalenceChecker::check(
 
   // ---- tier 3: random stimuli (w.h.p., <= max_stimuli_qubits) -----------
   if (n <= options_.max_stimuli_qubits) {
-    obs::PerfScope perf(obs::PerfKernel::kVerifyStimuli);
+    obs::Stage stage(obs::StageId::kVerifyStimuli);
     const int stimuli = effective_stimuli(n, options_);
     int bad_trial = 0;
     if (stimuli_equivalent(job, stimuli, options_.seed, options_.atol,
@@ -873,6 +873,7 @@ VerifyResult EquivalenceChecker::check_mapped(
   // ---- tier 1: Clifford Pauli flow (any width, layout-aware) ------------
   if (clifford::is_clifford_circuit(sl.circuit) &&
       clifford::is_clifford_circuit(physical_c)) {
+    obs::Stage stage(obs::StageId::kVerifyClifford);
     switch (clifford_pauli_flow(sl.circuit, physical_c, k, init_c, fin_c)) {
       case FlowMatch::kFull:
         return make_result(Verdict::kEquivalent, Method::kCliffordTableau,
@@ -909,6 +910,7 @@ VerifyResult EquivalenceChecker::check_mapped(
   // ---- tier 2: exhaustive basis sweep (exact on the ancilla-|0>
   // subspace; cost 2^(n+k) amplitude updates per gate) --------------------
   if (n + k <= 2 * options_.max_miter_qubits && k <= kStatevectorCap) {
+    obs::Stage stage(obs::StageId::kVerifyMiter);
     std::size_t bad_column = 0;
     if (basis_sweep_equivalent(job, options_.atol, /*magnitudes_only=*/false,
                                &bad_column)) {
@@ -936,6 +938,7 @@ VerifyResult EquivalenceChecker::check_mapped(
 
   // ---- tier 3: random stimuli -------------------------------------------
   if (k <= options_.max_stimuli_qubits) {
+    obs::Stage stage(obs::StageId::kVerifyStimuli);
     const int stimuli = effective_stimuli(k, options_);
     int bad_trial = 0;
     if (stimuli_equivalent(job, stimuli, options_.seed, options_.atol,
@@ -966,6 +969,7 @@ VerifyResult EquivalenceChecker::check_mapped(
   // unless the circuit genuinely entangles too many wires, which
   // overflows the support cap and lands in kUnknown below.
   if (n <= options_.max_stimuli_qubits && k <= 63) {
+    obs::Stage stage(obs::StageId::kVerifyStimuli);
     bool overflowed = false;
     int bad_trial = 0;
     if (sparse_stimuli_equivalent(job, options_.num_stimuli, options_.seed,

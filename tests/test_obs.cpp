@@ -10,6 +10,9 @@
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
+#include <algorithm>
+#include <atomic>
+#include <future>
 #include <optional>
 #include <string>
 #include <thread>
@@ -21,7 +24,9 @@
 #include "net/server.hpp"
 #include "net/socket.hpp"
 #include "obs/metrics.hpp"
+#include "obs/stage.hpp"
 #include "obs/trace.hpp"
+#include "rl/thread_pool.hpp"
 #include "service/compile_service.hpp"
 #include "service/jsonl.hpp"
 
@@ -31,6 +36,8 @@ using qrc::bench::BenchmarkFamily;
 using qrc::core::Predictor;
 using qrc::ir::Circuit;
 using qrc::obs::MetricsRegistry;
+using qrc::obs::Stage;
+using qrc::obs::StageId;
 using qrc::obs::TraceContext;
 using qrc::reward::RewardKind;
 using qrc::service::CompileService;
@@ -308,24 +315,65 @@ TEST(TraceContextTest, AdoptRebasesSpansUnderParent) {
   EXPECT_NE(find_span(*leaf, "forward"), nullptr);
 }
 
-TEST(TraceContextTest, DetailTimerIsAmbientAndGated) {
-  const bool saved = qrc::obs::detail_enabled();
+TEST(TraceContextTest, StageNestsUnderTheInnermostOpenStage) {
   TraceContext trace("req-4");
-  qrc::obs::TraceContext::set_current(&trace);
+  const int root = trace.begin_span("compile");
+  trace.set_ambient_parent(root);
+  {
+    const qrc::obs::CurrentTraceScope scope(&trace);
+    const Stage outer(StageId::kGreedyRollout);
+    { const Stage inner(StageId::kPolicyForward); }
+    { const Stage inner(StageId::kEnvStep); }
+  }
+  { const Stage stage(StageId::kEnvStep); }  // no ambient context: no-op
+  trace.end_span(root);
 
-  qrc::obs::set_detail_enabled(false);
-  { qrc::obs::DetailTimer timer("hot"); }
-  EXPECT_EQ(trace.span_count(), 0u);  // disabled: one branch, no span
+  EXPECT_EQ(trace.span_count(), 4u);
+  const auto parsed = JsonValue::parse(trace.to_json());
+  const JsonValue* compile = find_span(parsed, "compile", true);
+  ASSERT_NE(compile, nullptr);
+  const JsonValue* rollout = find_span(*compile, "greedy_rollout");
+  ASSERT_NE(rollout, nullptr) << trace.to_json();
+  // Both inner stages are direct children: closing one restores its
+  // parent as the innermost stage.
+  const auto& kids = rollout->as_object().at("children").as_array();
+  ASSERT_EQ(kids.size(), 2u) << trace.to_json();
+  EXPECT_EQ(kids[0].as_object().at("name").as_string(), "policy_forward");
+  EXPECT_EQ(kids[1].as_object().at("name").as_string(), "env_step");
+}
 
-  qrc::obs::set_detail_enabled(true);
-  { qrc::obs::DetailTimer timer("hot"); }
-  EXPECT_EQ(trace.span_count(), 1u);
-
-  qrc::obs::TraceContext::set_current(nullptr);
-  { qrc::obs::DetailTimer timer("hot"); }  // no ambient context: no-op
-  EXPECT_EQ(trace.span_count(), 1u);
-
-  qrc::obs::set_detail_enabled(saved);
+TEST(TraceContextTest, PoolWorkersRecordStagesUnderTheCallersStage) {
+  TraceContext trace("req-5");
+  constexpr int kThreads = 4;
+  qrc::rl::WorkerPool pool(kThreads);
+  constexpr int kIndices = 64;
+  std::atomic<int> arrived{0};
+  {
+    const qrc::obs::CurrentTraceScope scope(&trace);
+    const Stage step(StageId::kEnvStep);
+    pool.parallel_for(kIndices, [&](int) {
+      const Stage sweep(StageId::kTableauSweep);
+      // The first kThreads indices wait for each other, so every pool
+      // thread (not just the caller) runs at least one.
+      if (arrived.fetch_add(1) < kThreads) {
+        while (arrived.load() < kThreads) {
+          std::this_thread::yield();
+        }
+      }
+    });
+  }
+  // Every index recorded its stage whichever thread ran it, each nested
+  // under the caller's env_step, and the workers left no context behind.
+  const auto parsed = JsonValue::parse(trace.to_json());
+  const auto& roots = parsed.as_object().at("spans").as_array();
+  ASSERT_EQ(roots.size(), 1u) << trace.to_json();
+  EXPECT_EQ(roots[0].as_object().at("name").as_string(), "env_step");
+  EXPECT_EQ(roots[0].as_object().at("children").as_array().size(),
+            static_cast<std::size_t>(kIndices));
+  pool.parallel_for(kIndices, [](int) {
+    const Stage sweep(StageId::kTableauSweep);
+  });
+  EXPECT_EQ(trace.span_count(), static_cast<std::size_t>(kIndices + 1));
 }
 
 // --------------------------------------------------- service trace shapes ---
@@ -348,6 +396,53 @@ TEST(ServiceTraceTest, GreedyCompileSpanTreeIsComplete) {
   const JsonValue* batch = find_span(parsed, "batch", true);
   ASSERT_NE(batch, nullptr);
   EXPECT_NE(find_span(*batch, "rollout"), nullptr);
+}
+
+/// A traced greedy request fused with three untraced ones on a lane whose
+/// pool has min(max_batch, hardware threads) = 4 workers on a 4-thread
+/// host. No switch is set: a traced request records every stage, and the
+/// pool hands the trace to its workers, so the span tree does not depend
+/// on which thread ran which episode.
+std::vector<std::string> fused_rollout_span_names() {
+  ServiceConfig config;
+  config.max_batch = 4;
+  config.max_wait_us = 60'000'000;  // the batch closes when it is full
+  config.cache_entries = 0;
+  CompileService svc(config);
+  svc.registry().add("fidelity", shared_handle());
+  const auto trace = std::make_shared<TraceContext>("fused");
+  std::vector<std::future<qrc::service::ServiceResponse>> futures;
+  int n = 0;
+  for (const auto family : {BenchmarkFamily::kQft, BenchmarkFamily::kGhz,
+                            BenchmarkFamily::kGraphState,
+                            BenchmarkFamily::kVqe}) {
+    futures.push_back(svc.submit(
+        "f" + std::to_string(n), "fidelity",
+        qrc::bench::make_benchmark(family, 4, 1), /*verify=*/false,
+        std::nullopt, n == 0 ? trace : nullptr));
+    ++n;
+  }
+  for (auto& future : futures) {
+    (void)future.get();
+  }
+  EXPECT_EQ(trace->dropped(), 0u) << trace->to_json();
+  const auto parsed = JsonValue::parse(trace->to_json());
+  const JsonValue* rollout = find_span(parsed, "rollout", true);
+  EXPECT_NE(rollout, nullptr) << trace->to_json();
+  if (rollout != nullptr) {
+    EXPECT_NE(find_span(*rollout, "policy_forward"), nullptr)
+        << trace->to_json();
+    EXPECT_NE(find_span(*rollout, "env_step"), nullptr) << trace->to_json();
+  }
+  auto names = span_names(*trace);
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST(ServiceTraceTest, FusedRolloutRecordsTheSameStagesEveryRun) {
+  const auto first = fused_rollout_span_names();
+  const auto second = fused_rollout_span_names();
+  EXPECT_EQ(first, second);
 }
 
 TEST(ServiceTraceTest, SearchAndVerifySpansCarryOutcomeAttrs) {
@@ -374,6 +469,17 @@ TEST(ServiceTraceTest, SearchAndVerifySpansCarryOutcomeAttrs) {
   const auto& verify_attrs = verify->as_object().at("attrs").as_object();
   EXPECT_FALSE(verify_attrs.at("method").as_string().empty());
   EXPECT_FALSE(verify_attrs.at("verdict").as_string().empty());
+  // The deciding tier's stage nests under the verify span.
+  const auto tiers = verify->as_object().find("children");
+  ASSERT_NE(tiers, verify->as_object().end()) << response.trace->to_json();
+  EXPECT_EQ(tiers->second.as_array()
+                .front()
+                .as_object()
+                .at("name")
+                .as_string()
+                .rfind("verify_", 0),
+            0u)
+      << response.trace->to_json();
 
   // The per-strategy and per-method label sets landed in the registry.
   EXPECT_EQ(svc.metrics().counter_value("qrc_search_requests_total",
@@ -567,28 +673,23 @@ TEST(NetObsTest, HttpMetricsListenerServesLabeledFamilies) {
 // ----------------------------------------------------------- determinism ---
 
 TEST(ObsDeterminismTest, TracingLeavesCompiledResultsBitwiseUnchanged) {
-  const bool saved = qrc::obs::detail_enabled();
   const Circuit circuit =
       qrc::bench::make_benchmark(BenchmarkFamily::kVqe, 4, 1);
-
-  qrc::obs::set_detail_enabled(false);
   const std::string baseline =
       qrc::ir::to_qasm(shared_model().compile(circuit).circuit);
 
-  // Traced, with detail spans on: every hot-path timer fires.
-  qrc::obs::set_detail_enabled(true);
+  // Traced: every stage records.
   CompileService svc;
   svc.registry().add("fidelity", shared_handle());
   const auto trace = std::make_shared<TraceContext>("det");
   auto traced = svc.submit("det", "fidelity", circuit, /*verify=*/false,
                            std::nullopt, trace)
                     .get();
-  qrc::obs::set_detail_enabled(saved);
 
   EXPECT_EQ(qrc::ir::to_qasm(traced.result.circuit), baseline);
   ASSERT_NE(traced.trace, nullptr);
-  // The detail collector actually recorded hot-path spans and they were
-  // adopted under the request's rollout span.
+  // The stage collector actually recorded the rollout's stages and they
+  // were adopted under the request's rollout span.
   const auto names = span_names(*traced.trace);
   EXPECT_TRUE(contains(names, "policy_forward"))
       << traced.trace->to_json();

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <future>
+#include <limits>
 #include <random>
 #include <thread>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "bench_suite/benchmarks.hpp"
 #include "core/predictor.hpp"
 #include "ir/qasm.hpp"
+#include "obs/trace.hpp"
 #include "service/compile_service.hpp"
 #include "service/jsonl.hpp"
 #include "service/model_registry.hpp"
@@ -263,6 +265,30 @@ TEST(JsonlTest, QuoteRoundTripsThroughTheParser) {
   const std::string nasty = "line1\nline2\t\"quoted\" \\slash\x01";
   const auto parsed = JsonValue::parse(qrc::service::json_quote(nasty));
   EXPECT_EQ(parsed.as_string(), nasty);
+
+  // Trace attrs share the encoder: every control byte survives a round
+  // trip through a rendered span tree, and a non-finite number renders as
+  // null instead of breaking the document.
+  std::string controls;
+  for (int c = 0; c < 0x20; ++c) {
+    controls.push_back(static_cast<char>(c));
+  }
+  controls += nasty;
+  qrc::obs::TraceContext trace("t");
+  const int span = trace.begin_span("s");
+  trace.attr(span, "controls", std::string_view(controls));
+  trace.attr(span, "ratio", std::numeric_limits<double>::quiet_NaN());
+  trace.end_span(span);
+  const auto rendered = JsonValue::parse(trace.to_json());
+  const auto& attrs = rendered.as_object()
+                          .at("spans")
+                          .as_array()
+                          .front()
+                          .as_object()
+                          .at("attrs")
+                          .as_object();
+  EXPECT_EQ(attrs.at("controls").as_string(), controls);
+  EXPECT_TRUE(attrs.at("ratio").is_null());
 }
 
 TEST(JsonlTest, ResponseAndErrorLinesAreValidJson) {

@@ -25,7 +25,7 @@
 //       prints the span tree after the result. --profile samples the
 //       compile with the in-process SIGPROF profiler (default 97 Hz,
 //       override with --profile-hz) and dumps folded flamegraph stacks
-//       plus per-kernel hardware-counter summaries to stderr.
+//       plus per-stage hardware-counter summaries to stderr.
 //   qrc verify <a.qasm> <b.qasm> [--stimuli N] [--seed N]
 //              [--max-miter-qubits N] [--max-stimuli-qubits N]
 //       Checks two circuits for functional equivalence with the tiered
@@ -106,8 +106,8 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/perf_counters.hpp"
 #include "obs/profiler.hpp"
+#include "obs/stage.hpp"
 #include "obs/trace.hpp"
 #include "obs/training_logger.hpp"
 #include "rl/mlp.hpp"
@@ -418,14 +418,13 @@ int cmd_compile(int argc, char** argv) {
     throw std::runtime_error("--deadline-ms requires --search");
   }
 
-  // --trace: make a CLI-local context ambient for the compile (the
-  // predictor's AmbientSpans and the hot-path DetailTimers record into
-  // it), then print the span tree after the result.
+  // --trace: make a CLI-local context ambient for the compile (every
+  // obs::Stage records into it), then print the span tree after the
+  // result.
   const bool trace = args.single("trace") != nullptr;
   std::optional<obs::TraceContext> trace_ctx;
   int root_span = obs::TraceContext::kNoParent;
   if (trace) {
-    obs::set_detail_enabled(true);
     trace_ctx.emplace("cli");
     root_span = trace_ctx->begin_span("compile");
     trace_ctx->set_ambient_parent(root_span);
@@ -434,7 +433,7 @@ int cmd_compile(int argc, char** argv) {
   // --profile: sample the whole compile with the in-process SIGPROF
   // profiler and dump the folded stacks to stderr afterwards (stdout
   // stays the human-readable report). Hardware counters are armed too,
-  // so the seams accumulate cycles/instructions while the compile runs.
+  // so the stages accumulate cycles/instructions while the compile runs.
   const bool profile = args.single("profile") != nullptr ||
                        args.single("profile-hz") != nullptr;
   const int profile_hz = args.get_int("profile-hz", 97);
@@ -476,9 +475,9 @@ int cmd_compile(int argc, char** argv) {
                  static_cast<unsigned long long>(pstats.pc_only));
     std::fputs(obs::Profiler::render_folded().c_str(), stderr);
     if (obs::perf_available()) {
-      for (int k = 0; k < static_cast<int>(obs::PerfKernel::kCount); ++k) {
-        const auto kernel = static_cast<obs::PerfKernel>(k);
-        const auto totals = obs::perf_kernel_totals(kernel);
+      for (int k = 0; k < static_cast<int>(obs::StageId::kCount); ++k) {
+        const auto id = static_cast<obs::StageId>(k);
+        const auto totals = obs::stage_totals(id);
         if (totals.scopes == 0 || totals.cycles == 0) {
           continue;
         }
@@ -486,7 +485,7 @@ int cmd_compile(int argc, char** argv) {
             stderr,
             "# perf %-16s %llu scopes, %.2f ipc, %.4f cache miss rate, "
             "%.4f branch miss rate\n",
-            obs::perf_kernel_name(kernel).data(),
+            obs::stage_name(id).data(),
             static_cast<unsigned long long>(totals.scopes),
             static_cast<double>(totals.instructions) /
                 static_cast<double>(totals.cycles),
@@ -707,7 +706,7 @@ int cmd_serve(int argc, char** argv) {
   // --profile-hz N: sample the whole serve lifetime and dump folded
   // stacks to stderr at shutdown. While a startup session is running,
   // GET /profilez and the v1 "profile" op report busy (the interval
-  // timer is a process-wide resource). Also arms the per-kernel
+  // timer is a process-wide resource). Also arms the per-stage
   // hardware counters so /metrics carries qrc_profile_* totals.
   struct ServeProfile {
     bool started = false;

@@ -101,6 +101,31 @@ void BM_FullPeephole(benchmark::State& state) {
 }
 BENCHMARK(BM_FullPeephole)->Arg(10);
 
+// The mapped case, where most of an RL compile's FullPeepholeOptimise
+// calls land: native gates, SABRE layout and routing on ibmq_montreal.
+void BM_FullPeepholeMapped(benchmark::State& state) {
+  const auto& montreal =
+      qrc::device::get_device(qrc::device::DeviceId::kIbmqMontreal);
+  auto circuit = test_circuit(static_cast<int>(state.range(0)));
+  qrc::passes::PassContext ctx;
+  ctx.device = &montreal;
+  (void)qrc::passes::BasisTranslator().run(circuit, ctx);
+  const auto layout = qrc::passes::compute_layout(
+      qrc::passes::LayoutKind::kSabre, circuit, montreal, 1);
+  circuit = qrc::passes::route(qrc::passes::RoutingKind::kSabreSwap,
+                               qrc::passes::apply_layout(circuit, layout,
+                                                         montreal),
+                               montreal, 1)
+                .routed;
+  ctx.is_mapped = true;
+  const qrc::passes::FullPeepholeOptimise pass;
+  for (auto _ : state) {
+    auto copy = circuit;
+    benchmark::DoNotOptimize(pass.run(copy, ctx));
+  }
+}
+BENCHMARK(BM_FullPeepholeMapped)->Arg(10);
+
 void BM_FeatureExtraction(benchmark::State& state) {
   const auto circuit = test_circuit(static_cast<int>(state.range(0)));
   for (auto _ : state) {

@@ -1,7 +1,9 @@
 #include "ir/qasm.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -239,16 +241,91 @@ int parse_register_index(const std::string& token, const char* what) {
   return static_cast<int>(value);
 }
 
-/// Parses "q[3]" -> 3.
-int parse_qubit_ref(const std::string& token, const std::string& reg_name) {
+/// A declared quantum register: its qubits are offset .. offset + size - 1
+/// of the circuit (registers are laid out in declaration order).
+struct QuantumRegister {
+  std::string name;
+  int offset = 0;
+  int size = 0;
+};
+
+/// One gate operand: `q[3]` names one qubit, a bare `q` the whole register
+/// (qubits first .. first + size - 1).
+struct Operand {
+  int first = 0;
+  int size = 1;
+  bool whole_register = false;
+
+  /// The operand's qubit in the i-th op of a broadcast.
+  [[nodiscard]] int qubit(int i) const {
+    return whole_register ? first + i : first;
+  }
+};
+
+/// Resolves "q[3]" or "q" against the declared registers.
+Operand parse_operand(const std::string& token,
+                      const std::vector<QuantumRegister>& registers) {
   const std::string t = strip(token);
   const std::size_t lb = t.find('[');
   const std::size_t rb = t.find(']');
-  if (lb == std::string::npos || rb == std::string::npos || rb < lb ||
-      t.substr(0, lb) != reg_name) {
+  const bool indexed = lb != std::string::npos;
+  if (indexed && (rb == std::string::npos || rb < lb || rb + 1 != t.size())) {
     throw std::runtime_error("bad qubit reference '" + t + "'");
   }
-  return parse_register_index(t.substr(lb + 1, rb - lb - 1), "qubit index");
+  const std::string name = indexed ? strip(t.substr(0, lb)) : t;
+  const auto reg = std::find_if(
+      registers.begin(), registers.end(),
+      [&](const QuantumRegister& r) { return r.name == name; });
+  if (reg == registers.end()) {
+    throw std::runtime_error("bad qubit reference '" + t + "'");
+  }
+  if (!indexed) {
+    return {reg->offset, reg->size, /*whole_register=*/true};
+  }
+  const int index =
+      parse_register_index(t.substr(lb + 1, rb - lb - 1), "qubit index");
+  if (index >= reg->size) {
+    throw std::runtime_error("qubit index " + std::to_string(index) +
+                             " out of range for register '" + name + "[" +
+                             std::to_string(reg->size) + "]'");
+  }
+  return {reg->offset + index, 1, /*whole_register=*/false};
+}
+
+/// OpenQASM 2.0 register broadcast: a statement whose operands include
+/// whole registers stands for one op per register index, with
+/// single-qubit operands repeated in each. \returns the number of ops;
+/// throws unless all whole-register operands have one size.
+int broadcast_count(const std::vector<Operand>& operands) {
+  int count = 1;
+  bool have_register = false;
+  for (const Operand& o : operands) {
+    if (!o.whole_register) {
+      continue;
+    }
+    if (have_register && o.size != count) {
+      throw std::runtime_error("register size mismatch (" +
+                               std::to_string(count) + " vs " +
+                               std::to_string(o.size) + ") in broadcast");
+    }
+    count = o.size;
+    have_register = true;
+  }
+  return count;
+}
+
+/// Appends the ops a statement broadcasts to (see broadcast_count).
+void append_broadcast(std::vector<Operation>& ops, GateKind kind,
+                      const std::vector<Operand>& operands,
+                      std::span<const double> params = {}) {
+  const int count = broadcast_count(operands);
+  std::vector<int> qubits(operands.size());
+  for (int i = 0; i < count; ++i) {
+    for (std::size_t k = 0; k < operands.size(); ++k) {
+      qubits[k] = operands[k].qubit(i);
+    }
+    ops.emplace_back(kind, qubits, params);
+  }
 }
 
 std::vector<std::string> split(const std::string& s, char delim) {
@@ -324,10 +401,11 @@ std::vector<Statement> split_statements(const std::string& text) {
 }  // namespace
 
 Circuit from_qasm(const std::string& text) {
-  Circuit circuit;
-  std::string qreg_name = "q";
-  bool have_qreg = false;
-
+  // Ops are collected first and the circuit is sized at the end, since a
+  // later qreg declaration widens it.
+  std::vector<QuantumRegister> registers;
+  std::vector<Operation> ops;
+  int num_qubits = 0;
   for (const Statement& statement : split_statements(text)) {
     const std::string& stmt = statement.text;
     // Every statement-level failure is rethrown with the source line and
@@ -344,32 +422,43 @@ Circuit from_qasm(const std::string& text) {
         if (lb == std::string::npos || rb == std::string::npos || rb < lb) {
           throw std::runtime_error("bad qreg statement");
         }
-        qreg_name = strip(stmt.substr(4, lb - 4));
-        if (qreg_name.empty()) {
+        QuantumRegister reg;
+        reg.name = strip(stmt.substr(4, lb - 4));
+        if (reg.name.empty()) {
           throw std::runtime_error("qreg needs a register name");
         }
-        const int n = parse_register_index(
-            stmt.substr(lb + 1, rb - lb - 1), "qreg size");
-        circuit = Circuit(n);
-        have_qreg = true;
+        for (const QuantumRegister& r : registers) {
+          if (r.name == reg.name) {
+            throw std::runtime_error("qreg '" + reg.name +
+                                     "' declared twice");
+          }
+        }
+        reg.size = parse_register_index(stmt.substr(lb + 1, rb - lb - 1),
+                                        "qreg size");
+        reg.offset = num_qubits;
+        if (num_qubits + static_cast<long>(reg.size) > kMaxRegisterIndex) {
+          throw std::runtime_error("qreg '" + reg.name +
+                                   "' exceeds the total qubit limit");
+        }
+        num_qubits += reg.size;
+        registers.push_back(std::move(reg));
         continue;
       }
-      if (!have_qreg) {
+      if (registers.empty()) {
         throw std::runtime_error("statement before qreg");
       }
       if (stmt.rfind("barrier", 0) == 0) {
-        circuit.barrier();
+        ops.emplace_back(GateKind::kBarrier, std::span<const int>{});
         continue;
       }
-      if (stmt.rfind("measure", 0) == 0) {
-        const std::size_t arrow = stmt.find("->");
+      if (stmt.rfind("measure", 0) == 0 || stmt.rfind("reset", 0) == 0) {
+        const bool measure = stmt[0] == 'm';
+        const std::size_t begin = measure ? 7 : 5;
+        const std::size_t arrow = measure ? stmt.find("->") : stmt.npos;
         const std::string src = strip(stmt.substr(
-            7, (arrow == std::string::npos ? stmt.size() : arrow) - 7));
-        circuit.measure(parse_qubit_ref(src, qreg_name));
-        continue;
-      }
-      if (stmt.rfind("reset", 0) == 0) {
-        circuit.reset(parse_qubit_ref(strip(stmt.substr(5)), qreg_name));
+            begin, (arrow == std::string::npos ? stmt.size() : arrow) - begin));
+        append_broadcast(ops, measure ? GateKind::kMeasure : GateKind::kReset,
+                         {parse_operand(src, registers)});
         continue;
       }
 
@@ -395,9 +484,9 @@ Circuit from_qasm(const std::string& text) {
         }
         rest_begin = close + 1;
       }
-      std::vector<int> qubits;
+      std::vector<Operand> operands;
       for (const std::string& qref : split(stmt.substr(rest_begin), ',')) {
-        qubits.push_back(parse_qubit_ref(qref, qreg_name));
+        operands.push_back(parse_operand(qref, registers));
       }
 
       // Aliases.
@@ -419,12 +508,19 @@ Circuit from_qasm(const std::string& text) {
       if (!kind.has_value()) {
         throw std::runtime_error("unknown gate '" + name + "'");
       }
-      circuit.append(*kind, qubits, params);
+      append_broadcast(ops, *kind, operands, params);
     } catch (const std::exception& e) {
       throw std::runtime_error("qasm: parse error at line " +
                                std::to_string(statement.line) + ": " +
                                e.what() + " [in statement '" + stmt + "']");
     }
+  }
+  if (registers.empty()) {
+    return Circuit();
+  }
+  Circuit circuit(num_qubits);
+  for (const Operation& op : ops) {
+    circuit.append(op);
   }
   return circuit;
 }

@@ -15,7 +15,11 @@ namespace qrc::ir {
 
 /// Parses OpenQASM 2.0 text. Supports the gate vocabulary of this library,
 /// the aliases u1 (-> p), u2(phi, lambda) (-> u3(pi/2, phi, lambda)) and
-/// u (-> u3), a single qreg, an optional creg, measure, barrier and reset.
+/// u (-> u3), qregs (laid out one after another in declaration order),
+/// cregs (ignored), measure, barrier (always over all qubits) and reset.
+/// A bare register operand broadcasts as OpenQASM 2.0 defines: `h q;` is
+/// one h per qubit of q, `cx q, r;` pairs q[i] with r[i] (the registers
+/// must have equal size) and `measure q -> c;` measures every qubit of q.
 /// Parameter expressions may use numbers (including scientific notation,
 /// e.g. 2.5e-2), "pi", unary plus/minus, + - * / and parentheses.
 /// Register sizes and qubit indices are capped at 1,000,000 (declarations

@@ -41,8 +41,8 @@ void Statevector::apply_1q(const la::Mat2& u, int q) {
     }
     const cplx a0 = amp_[i];
     const cplx a1 = amp_[i | bit];
-    amp_[i] = u(0, 0) * a0 + u(0, 1) * a1;
-    amp_[i | bit] = u(1, 0) * a0 + u(1, 1) * a1;
+    amp_[i] = la::mul(u(0, 0), a0) + la::mul(u(0, 1), a1);
+    amp_[i | bit] = la::mul(u(1, 0), a0) + la::mul(u(1, 1), a1);
   }
 }
 
@@ -63,10 +63,14 @@ void Statevector::apply_2q(const la::Mat4& u, int q0, int q1) {
     const cplx a01 = amp_[i01];
     const cplx a10 = amp_[i10];
     const cplx a11 = amp_[i11];
-    amp_[i00] = u(0, 0) * a00 + u(0, 1) * a01 + u(0, 2) * a10 + u(0, 3) * a11;
-    amp_[i01] = u(1, 0) * a00 + u(1, 1) * a01 + u(1, 2) * a10 + u(1, 3) * a11;
-    amp_[i10] = u(2, 0) * a00 + u(2, 1) * a01 + u(2, 2) * a10 + u(2, 3) * a11;
-    amp_[i11] = u(3, 0) * a00 + u(3, 1) * a01 + u(3, 2) * a10 + u(3, 3) * a11;
+    const auto row = [&](int r) {
+      return la::mul(u(r, 0), a00) + la::mul(u(r, 1), a01) +
+             la::mul(u(r, 2), a10) + la::mul(u(r, 3), a11);
+    };
+    amp_[i00] = row(0);
+    amp_[i01] = row(1);
+    amp_[i10] = row(2);
+    amp_[i11] = row(3);
   }
 }
 
@@ -151,7 +155,7 @@ void Statevector::apply(const Circuit& circuit) {
   const cplx phase = std::exp(cplx{0.0, circuit.global_phase()});
   if (phase != cplx{1.0, 0.0}) {
     for (cplx& a : amp_) {
-      a *= phase;
+      a = la::mul(a, phase);
     }
   }
 }
@@ -162,7 +166,7 @@ cplx Statevector::inner_product(const Statevector& rhs) const {
   }
   cplx acc = 0.0;
   for (std::size_t i = 0; i < amp_.size(); ++i) {
-    acc += std::conj(amp_[i]) * rhs.amp_[i];
+    acc += la::mul(std::conj(amp_[i]), rhs.amp_[i]);
   }
   return acc;
 }
@@ -221,11 +225,34 @@ bool circuits_equivalent(const Circuit& a, const Circuit& b, int num_trials,
   if (n > 16) {
     throw std::invalid_argument("circuits_equivalent: too many qubits");
   }
-  cplx ref_phase{0.0, 0.0};
+  return circuits_equivalent_on(a, b, random_stimuli(n, num_trials, seed),
+                                final_permutation, atol);
+}
+
+std::vector<Statevector> random_stimuli(int num_qubits, int num_trials,
+                                        std::uint64_t seed) {
+  std::vector<Statevector> out;
+  out.reserve(static_cast<std::size_t>(std::max(num_trials, 0)));
   for (int t = 0; t < num_trials; ++t) {
-    Statevector input = Statevector::random(n, seed + static_cast<std::uint64_t>(t));
-    Statevector sa = input;
-    Statevector sb = input;
+    out.push_back(
+        Statevector::random(num_qubits, seed + static_cast<std::uint64_t>(t)));
+  }
+  return out;
+}
+
+bool circuits_equivalent_on(const Circuit& a, const Circuit& b,
+                            std::span<const Statevector> stimuli,
+                            const std::vector<int>& final_permutation,
+                            double atol) {
+  const int n = std::max(a.num_qubits(), b.num_qubits());
+  cplx ref_phase{0.0, 0.0};
+  for (std::size_t t = 0; t < stimuli.size(); ++t) {
+    if (stimuli[t].num_qubits() != n) {
+      throw std::invalid_argument(
+          "circuits_equivalent_on: stimulus width differs from the circuits");
+    }
+    Statevector sa = stimuli[t];
+    Statevector sb = stimuli[t];
     sa.apply(a);
     sb.apply(b);
     if (!final_permutation.empty()) {

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ir/circuit.hpp"
@@ -84,6 +85,19 @@ class Statevector {
                                        const std::vector<int>&
                                            final_permutation = {},
                                        double atol = 1e-6);
+
+/// The input states circuits_equivalent draws: Statevector::random(
+/// num_qubits, seed + t) for each trial t < num_trials.
+[[nodiscard]] std::vector<Statevector> random_stimuli(int num_qubits,
+                                                      int num_trials,
+                                                      std::uint64_t seed);
+
+/// circuits_equivalent on caller-supplied input states, one trial per
+/// state, each over max(a.num_qubits(), b.num_qubits()) qubits. A caller
+/// that checks many small circuits draws its stimuli once and reuses them.
+[[nodiscard]] bool circuits_equivalent_on(
+    const Circuit& a, const Circuit& b, std::span<const Statevector> stimuli,
+    const std::vector<int>& final_permutation = {}, double atol = 1e-6);
 
 /// Convenience: checks a (possibly wider, mapped) circuit `b` against the
 /// original `a` given an initial layout (logical -> physical) and final

@@ -22,6 +22,17 @@ inline constexpr double kLooseAtol = 1e-7;
 
 inline constexpr double kPi = std::numbers::pi;
 
+/// Complex product by the textbook formula (ac - bd, ad + bc), with no
+/// branch. `std::complex`'s operator* computes the same four products and
+/// two sums, then calls the out-of-line `__muldc3` to recover an infinity
+/// when both parts come out NaN; for finite operands the two agree bit for
+/// bit as long as the mul/add pairs are not contracted into FMAs (the
+/// library builds with -ffp-contract=off).
+[[nodiscard]] inline cplx mul(cplx a, cplx b) {
+  return {a.real() * b.real() - a.imag() * b.imag(),
+          a.real() * b.imag() + a.imag() * b.real()};
+}
+
 /// \returns true if |a - b| <= atol componentwise.
 [[nodiscard]] inline bool approx_equal(cplx a, cplx b, double atol = kAtol) {
   return std::abs(a - b) <= atol;

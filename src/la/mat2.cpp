@@ -11,7 +11,7 @@ Mat2 Mat2::operator*(const Mat2& rhs) const {
     for (int j = 0; j < 2; ++j) {
       cplx acc = 0.0;
       for (int k = 0; k < 2; ++k) {
-        acc += (*this)(i, k) * rhs(k, j);
+        acc += mul((*this)(i, k), rhs(k, j));
       }
       out(i, j) = acc;
     }
@@ -23,7 +23,7 @@ Mat2 Mat2::operator*(cplx scalar) const {
   Mat2 out = *this;
   for (int i = 0; i < 2; ++i) {
     for (int j = 0; j < 2; ++j) {
-      out(i, j) *= scalar;
+      out(i, j) = mul(out(i, j), scalar);
     }
   }
   return out;

@@ -22,7 +22,7 @@ Mat4 Mat4::operator*(const Mat4& rhs) const {
         continue;
       }
       for (int j = 0; j < 4; ++j) {
-        out(i, j) += aik * rhs(k, j);
+        out(i, j) += mul(aik, rhs(k, j));
       }
     }
   }
@@ -33,7 +33,7 @@ Mat4 Mat4::operator*(cplx scalar) const {
   Mat4 out = *this;
   for (int i = 0; i < 4; ++i) {
     for (int j = 0; j < 4; ++j) {
-      out(i, j) *= scalar;
+      out(i, j) = mul(out(i, j), scalar);
     }
   }
   return out;
@@ -186,7 +186,7 @@ Mat4 kron(const Mat2& a, const Mat2& b) {
     for (int j = 0; j < 2; ++j) {
       for (int k = 0; k < 2; ++k) {
         for (int l = 0; l < 2; ++l) {
-          out(i * 2 + k, j * 2 + l) = a(i, j) * b(k, l);
+          out(i * 2 + k, j * 2 + l) = mul(a(i, j), b(k, l));
         }
       }
     }

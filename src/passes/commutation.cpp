@@ -18,6 +18,23 @@ bool is_x_type_1q(GateKind k) {
          k == GateKind::kRX;
 }
 
+/// Widest joint support numeric_commute simulates.
+constexpr int kMaxCommuteSupport = 5;
+
+/// The two input states circuits_equivalent(ab, ba, 2, 777) draws, for each
+/// support width 0..kMaxCommuteSupport. Drawn once per process: the pass
+/// asks thousands of times per compile and the states never change.
+const std::vector<std::vector<ir::Statevector>>& commute_stimuli() {
+  static const std::vector<std::vector<ir::Statevector>> table = [] {
+    std::vector<std::vector<ir::Statevector>> t;
+    for (int w = 0; w <= kMaxCommuteSupport; ++w) {
+      t.push_back(ir::random_stimuli(w, 2, 777));
+    }
+    return t;
+  }();
+  return table;
+}
+
 /// Exact commutation via simulation on the joint support (re-indexed).
 bool numeric_commute(const Operation& a, const Operation& b) {
   std::vector<int> support;
@@ -29,7 +46,7 @@ bool numeric_commute(const Operation& a, const Operation& b) {
       support.push_back(q);
     }
   }
-  if (support.size() > 5) {
+  if (support.size() > static_cast<std::size_t>(kMaxCommuteSupport)) {
     return false;  // conservative
   }
   std::sort(support.begin(), support.end());
@@ -52,7 +69,8 @@ bool numeric_commute(const Operation& a, const Operation& b) {
   ir::Circuit ba(n);
   ba.append(lb);
   ba.append(la);
-  return ir::circuits_equivalent(ab, ba, 2, 777, {}, 1e-9);
+  return ir::circuits_equivalent_on(
+      ab, ba, commute_stimuli()[static_cast<std::size_t>(n)], {}, 1e-9);
 }
 
 }  // namespace

@@ -654,6 +654,72 @@ TEST(QasmTest, ErrorsCarryTheQasmParseErrorPrefix) {
   }
 }
 
+TEST(QasmTest, BroadcastsBareRegisterOperands) {
+  const std::string text = R"(OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[4];
+creg c[4];
+h q[0];
+cx q[0],q[1];
+cx q[1],q[2];
+cx q[2],q[3];
+barrier q;
+measure q -> c;
+)";
+  const Circuit c = qrc::ir::from_qasm(text);
+  ASSERT_EQ(c.num_qubits(), 4);
+  ASSERT_EQ(c.size(), 9U);
+  for (int q = 0; q < 4; ++q) {
+    const auto& op = c.ops()[static_cast<std::size_t>(5 + q)];
+    EXPECT_EQ(op.kind(), GateKind::kMeasure);
+    EXPECT_EQ(op.qubit(0), q);
+  }
+  // A measured GHZ written with indexed measures parses to the same circuit.
+  Circuit ghz(4);
+  ghz.h(0);
+  ghz.cx(0, 1);
+  ghz.cx(1, 2);
+  ghz.cx(2, 3);
+  ghz.barrier();
+  ghz.measure_all();
+  EXPECT_TRUE(c == qrc::ir::from_qasm(qrc::ir::to_qasm(ghz)));
+}
+
+TEST(QasmTest, BroadcastsGatesOverRegistersAndSingleQubits) {
+  const Circuit c = qrc::ir::from_qasm(
+      "qreg a[2];\nqreg b[2];\nh a;\ncx a, b;\ncz b, a[0];\nreset b;\n");
+  ASSERT_EQ(c.num_qubits(), 4);
+  std::vector<std::pair<GateKind, std::vector<int>>> got;
+  for (const auto& op : c.ops()) {
+    got.emplace_back(op.kind(),
+                     std::vector<int>(op.qubits().begin(), op.qubits().end()));
+  }
+  const std::vector<std::pair<GateKind, std::vector<int>>> want = {
+      {GateKind::kH, {0}},      {GateKind::kH, {1}},
+      {GateKind::kCX, {0, 2}},  {GateKind::kCX, {1, 3}},
+      {GateKind::kCZ, {2, 0}},  {GateKind::kCZ, {3, 0}},
+      {GateKind::kReset, {2}},  {GateKind::kReset, {3}}};
+  EXPECT_EQ(got, want);
+}
+
+TEST(QasmTest, RejectsBroadcastOverMismatchedRegisters) {
+  const std::vector<std::string> bad = {
+      "qreg q[2];\nqreg r[3];\ncx q, r;\n",  // sizes differ
+      "qreg q[2];\nqreg q[2];\n",            // register declared twice
+      "qreg q[2];\nh r;\n",                  // undeclared register
+      "qreg q[2];\nh q[2];\n",               // index past the register
+      "qreg q[2];\ncx q, q;\n",              // broadcast onto one qubit
+  };
+  for (const std::string& text : bad) {
+    try {
+      (void)qrc::ir::from_qasm(text);
+      ADD_FAILURE() << "expected a parse error for " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("qasm:", 0), 0U) << e.what();
+    }
+  }
+}
+
 // ----------------------------------------- equality and canonical keys ----
 
 namespace keys {

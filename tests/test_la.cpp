@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <random>
+#include <vector>
 
+#include "ir/sim.hpp"
 #include "la/euler.hpp"
 #include "la/mat2.hpp"
 #include "la/mat4.hpp"
@@ -439,6 +442,243 @@ TEST(KakTest, CanonicalCoordsLocallyInvariant) {
     EXPECT_NEAR(ka->x, kb->x, 1e-5) << "iteration " << i;
     EXPECT_NEAR(ka->y, kb->y, 1e-5) << "iteration " << i;
     EXPECT_NEAR(std::abs(ka->z), std::abs(kb->z), 1e-5) << "iteration " << i;
+  }
+}
+
+// ------------------------------------------------ golden complex products --
+//
+// Mat2/Mat4 products and kron multiply through la::mul instead of
+// std::complex's operator*. The references below are the std::complex
+// formulations they replaced; for finite operands the two must agree bit
+// for bit. This TU is built with -ffp-contract=off (see CMakeLists.txt) so
+// a wider -march cannot fuse the references into FMAs.
+
+/// Entries drawn from values that stress signs and magnitudes: signed
+/// zeros, units, tiny and large finite numbers, and random reals.
+cplx golden_entry(std::mt19937_64& rng) {
+  static const double kSpecial[] = {0.0,  -0.0,  1.0,   -1.0, 0.5,
+                                    1e-300, -3e-200, 1e150, -7e120};
+  std::uniform_int_distribution<int> pick(0, 12);
+  std::uniform_real_distribution<double> real(-2.0, 2.0);
+  const auto part = [&] {
+    const int k = pick(rng);
+    return k < 9 ? kSpecial[k] : real(rng);
+  };
+  const double re = part();
+  return {re, part()};
+}
+
+Mat2 golden_mat2(std::mt19937_64& rng) {
+  Mat2 m;
+  for (int i = 0; i < 2; ++i) {
+    for (int j = 0; j < 2; ++j) {
+      m(i, j) = golden_entry(rng);
+    }
+  }
+  return m;
+}
+
+Mat4 golden_mat4(std::mt19937_64& rng) {
+  Mat4 m;
+  for (int i = 0; i < 4; ++i) {
+    for (int j = 0; j < 4; ++j) {
+      m(i, j) = golden_entry(rng);
+    }
+  }
+  return m;
+}
+
+Mat2 reference_product(const Mat2& a, const Mat2& b) {
+  Mat2 out;
+  for (int i = 0; i < 2; ++i) {
+    for (int j = 0; j < 2; ++j) {
+      cplx acc = 0.0;
+      for (int k = 0; k < 2; ++k) {
+        acc += a(i, k) * b(k, j);
+      }
+      out(i, j) = acc;
+    }
+  }
+  return out;
+}
+
+Mat2 reference_scaled(const Mat2& a, cplx s) {
+  Mat2 out = a;
+  for (int i = 0; i < 2; ++i) {
+    for (int j = 0; j < 2; ++j) {
+      out(i, j) *= s;
+    }
+  }
+  return out;
+}
+
+Mat4 reference_product(const Mat4& a, const Mat4& b) {
+  Mat4 out;
+  for (int i = 0; i < 4; ++i) {
+    for (int k = 0; k < 4; ++k) {
+      const cplx aik = a(i, k);
+      if (aik == cplx{0.0, 0.0}) {
+        continue;
+      }
+      for (int j = 0; j < 4; ++j) {
+        out(i, j) += aik * b(k, j);
+      }
+    }
+  }
+  return out;
+}
+
+Mat4 reference_scaled(const Mat4& a, cplx s) {
+  Mat4 out = a;
+  for (int i = 0; i < 4; ++i) {
+    for (int j = 0; j < 4; ++j) {
+      out(i, j) *= s;
+    }
+  }
+  return out;
+}
+
+Mat4 reference_kron(const Mat2& a, const Mat2& b) {
+  Mat4 out;
+  for (int i = 0; i < 2; ++i) {
+    for (int j = 0; j < 2; ++j) {
+      for (int k = 0; k < 2; ++k) {
+        for (int l = 0; l < 2; ++l) {
+          out(i * 2 + k, j * 2 + l) = a(i, j) * b(k, l);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+template <typename M>
+bool same_bits(const M& got, const M& want, int dim) {
+  for (int i = 0; i < dim; ++i) {
+    for (int j = 0; j < dim; ++j) {
+      const cplx g = got(i, j);
+      const cplx w = want(i, j);
+      if (std::memcmp(&g, &w, sizeof(cplx)) != 0) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+TEST(GoldenProductTest, MulMatchesStdComplexOnEveryEntryClass) {
+  std::mt19937_64 rng(2024);
+  for (int i = 0; i < 20000; ++i) {
+    const cplx a = golden_entry(rng);
+    const cplx b = golden_entry(rng);
+    const cplx got = qrc::la::mul(a, b);
+    const cplx want = a * b;
+    ASSERT_EQ(std::memcmp(&got, &want, sizeof(cplx)), 0)
+        << a << " * " << b << ": " << got << " vs " << want;
+  }
+}
+
+TEST(GoldenProductTest, Mat2ProductsMatchStdComplexReference) {
+  std::mt19937_64 rng(11);
+  for (int i = 0; i < 5000; ++i) {
+    const Mat2 a = golden_mat2(rng);
+    const Mat2 b = golden_mat2(rng);
+    const cplx s = golden_entry(rng);
+    ASSERT_TRUE(same_bits(a * b, reference_product(a, b), 2)) << i;
+    ASSERT_TRUE(same_bits(a * s, reference_scaled(a, s), 2)) << i;
+  }
+  // Unitaries as the passes build them.
+  for (int i = 0; i < 500; ++i) {
+    const Mat2 a = random_unitary2(rng);
+    const Mat2 b = random_unitary2(rng);
+    ASSERT_TRUE(same_bits(a * b, reference_product(a, b), 2)) << i;
+  }
+}
+
+TEST(GoldenProductTest, Mat4ProductsAndKronMatchStdComplexReference) {
+  std::mt19937_64 rng(12);
+  for (int i = 0; i < 3000; ++i) {
+    const Mat4 a = golden_mat4(rng);
+    const Mat4 b = golden_mat4(rng);
+    const cplx s = golden_entry(rng);
+    ASSERT_TRUE(same_bits(a * b, reference_product(a, b), 4)) << i;
+    ASSERT_TRUE(same_bits(a * s, reference_scaled(a, s), 4)) << i;
+    const Mat2 x = golden_mat2(rng);
+    const Mat2 y = golden_mat2(rng);
+    ASSERT_TRUE(same_bits(qrc::la::kron(x, y), reference_kron(x, y), 4)) << i;
+  }
+  // Sparse gate matrices (the zero-skip path) and dense unitaries.
+  const std::vector<Mat4> gates = {qrc::la::cx01_mat(), qrc::la::cx10_mat(),
+                                   qrc::la::cz_mat(), qrc::la::swap_mat(),
+                                   qrc::la::iswap_mat()};
+  for (int i = 0; i < 500; ++i) {
+    const Mat4 u = random_unitary4(rng);
+    const Mat4& g = gates[static_cast<std::size_t>(i) % gates.size()];
+    ASSERT_TRUE(same_bits(u * g, reference_product(u, g), 4)) << i;
+    ASSERT_TRUE(same_bits(g * u, reference_product(g, u), 4)) << i;
+  }
+}
+
+TEST(GoldenProductTest, StatevectorKernelsMatchStdComplexReference) {
+  // Statevector's 1q/2q kernels, global phase and inner product multiply
+  // through la::mul; the references are the std::complex loops they
+  // replaced.
+  using qrc::ir::Statevector;
+  std::mt19937_64 rng(13);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int n = 2 + trial % 4;
+    Statevector state = Statevector::random(n, 100 + trial);
+    std::vector<cplx> want = state.amplitudes();
+    const int q0 = trial % n;
+    const int q1 = (q0 + 1 + trial % (n - 1)) % n;
+    const Mat2 u2 = trial % 2 == 0 ? random_unitary2(rng) : golden_mat2(rng);
+    const Mat4 u4 = trial % 2 == 0 ? random_unitary4(rng) : golden_mat4(rng);
+
+    state.apply_matrix(u2, q0);
+    const std::size_t bit = std::size_t{1} << q0;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      if ((i & bit) == 0) {
+        const cplx a0 = want[i];
+        const cplx a1 = want[i | bit];
+        want[i] = u2(0, 0) * a0 + u2(0, 1) * a1;
+        want[i | bit] = u2(1, 0) * a0 + u2(1, 1) * a1;
+      }
+    }
+
+    state.apply_matrix(u4, q0, q1);
+    const std::size_t b0 = std::size_t{1} << q0;
+    const std::size_t b1 = std::size_t{1} << q1;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      if ((i & b0) == 0 && (i & b1) == 0) {
+        const std::size_t idx[4] = {i, i | b0, i | b1, i | b0 | b1};
+        const cplx a[4] = {want[idx[0]], want[idx[1]], want[idx[2]],
+                           want[idx[3]]};
+        for (int r = 0; r < 4; ++r) {
+          want[idx[r]] = u4(r, 0) * a[0] + u4(r, 1) * a[1] +
+                         u4(r, 2) * a[2] + u4(r, 3) * a[3];
+        }
+      }
+    }
+
+    qrc::ir::Circuit phase_only(n);
+    phase_only.add_global_phase(0.1 + trial);
+    state.apply(phase_only);
+    const cplx phase = std::exp(cplx{0.0, phase_only.global_phase()});
+    for (cplx& v : want) {
+      v *= phase;
+    }
+    ASSERT_EQ(std::memcmp(state.amplitudes().data(), want.data(),
+                          want.size() * sizeof(cplx)),
+              0)
+        << "trial " << trial;
+
+    const Statevector other = Statevector::random(n, 500 + trial);
+    cplx acc = 0.0;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      acc += std::conj(want[i]) * other.amplitudes()[i];
+    }
+    const cplx got = state.inner_product(other);
+    ASSERT_EQ(std::memcmp(&got, &acc, sizeof(cplx)), 0) << "trial " << trial;
   }
 }
 

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <numeric>
 #include <random>
 
+#include "bench_suite/benchmarks.hpp"
 #include "device/library.hpp"
 #include "ir/sim.hpp"
 #include "passes/blocks.hpp"
@@ -21,6 +25,7 @@
 #include "passes/routing/routing.hpp"
 #include "passes/synthesis/basis_translator.hpp"
 #include "passes/two_qubit_decomp.hpp"
+#include "rl/thread_pool.hpp"
 #include "verify/equivalence.hpp"
 
 namespace {
@@ -167,6 +172,107 @@ TEST(CommutationTest, MatchesNumericOracleOnRandomPairs) {
   c.rz(ang(rng), 0);
   EXPECT_FALSE(qrc::passes::ops_commute(c.ops()[0], c.ops()[1]));
   EXPECT_FALSE(qrc::passes::ops_commute(c.ops()[1], c.ops()[2]));
+}
+
+/// The oracle as it was before the stimuli were drawn once per process:
+/// simulate both orders on the joint support (at most 5 qubits) and compare
+/// with circuits_equivalent(ab, ba, 2, 777, {}, 1e-9), which draws fresh
+/// input states on every call. The CX and diagonal fast paths of
+/// ops_commute only answer "commute" where the operators do commute, so
+/// ops_commute must agree with this on every pair.
+bool reference_commute(const Operation& a, const Operation& b) {
+  if (!a.is_unitary() || !b.is_unitary()) {
+    return false;
+  }
+  if (!a.overlaps(b)) {
+    return true;
+  }
+  std::vector<int> support(a.qubits().begin(), a.qubits().end());
+  for (const int q : b.qubits()) {
+    if (std::find(support.begin(), support.end(), q) == support.end()) {
+      support.push_back(q);
+    }
+  }
+  if (support.size() > 5) {
+    return false;
+  }
+  std::sort(support.begin(), support.end());
+  const auto local = [&](Operation op) {
+    for (int i = 0; i < op.num_qubits(); ++i) {
+      op.set_qubit(i, static_cast<int>(std::find(support.begin(),
+                                                 support.end(), op.qubit(i)) -
+                                       support.begin()));
+    }
+    return op;
+  };
+  const int n = static_cast<int>(support.size());
+  Circuit ab(n);
+  ab.append(local(a));
+  ab.append(local(b));
+  Circuit ba(n);
+  ba.append(local(b));
+  ba.append(local(a));
+  return qrc::ir::circuits_equivalent(ab, ba, 2, 777, {}, 1e-9);
+}
+
+TEST(CommutationTest, MatchesFreshlyDrawnStimuliOnAGateGrid) {
+  // Every unitary kind against every unitary kind, on operand tuples that
+  // overlap in different ways, at angles including +-0, pi and 2*pi.
+  const std::vector<double> angles = {0.0, -0.0, 0.7, -2.3, kPi, 2.0 * kPi};
+  const std::vector<std::vector<int>> placements_b = {
+      {0}, {1}, {2}, {3},
+      {0, 1}, {1, 0}, {1, 2}, {2, 0}, {0, 3}, {3, 1},
+      {0, 1, 2}, {2, 1, 0}, {1, 3, 4}, {4, 0, 2}};
+  const auto make = [](GateKind kind, const std::vector<int>& qubits,
+                       double angle) {
+    const std::vector<double> params(
+        static_cast<std::size_t>(qrc::ir::gate_info(kind).num_params), angle);
+    return Operation(kind, qubits, params);
+  };
+  int checked = 0;
+  int commuting = 0;
+  for (int ka = 0; ka < qrc::ir::kNumGateKinds; ++ka) {
+    const auto kind_a = static_cast<GateKind>(ka);
+    const auto& info_a = qrc::ir::gate_info(kind_a);
+    if (!info_a.is_unitary) {
+      continue;
+    }
+    std::vector<int> qa(static_cast<std::size_t>(info_a.num_qubits));
+    std::iota(qa.begin(), qa.end(), 0);
+    for (int kb = 0; kb < qrc::ir::kNumGateKinds; ++kb) {
+      const auto kind_b = static_cast<GateKind>(kb);
+      const auto& info_b = qrc::ir::gate_info(kind_b);
+      if (!info_b.is_unitary) {
+        continue;
+      }
+      const std::size_t na = info_a.num_params > 0 ? angles.size() : 1;
+      const std::size_t nb = info_b.num_params > 0 ? angles.size() : 1;
+      for (const auto& qb : placements_b) {
+        if (static_cast<int>(qb.size()) != info_b.num_qubits) {
+          continue;
+        }
+        for (std::size_t i = 0; i < na; ++i) {
+          for (std::size_t j = 0; j < nb; ++j) {
+            // Pair each angle of a with a different angle of b so the
+            // grid does not only test equal parameters.
+            const Operation a = make(kind_a, qa, angles[i]);
+            const Operation b =
+                make(kind_b, qb, angles[(i + j) % angles.size()]);
+            const bool expected = reference_commute(a, b);
+            ASSERT_EQ(qrc::passes::ops_commute(a, b), expected)
+                << qrc::ir::gate_info(kind_a).name << " vs "
+                << qrc::ir::gate_info(kind_b).name << " angles " << angles[i]
+                << ", " << angles[(i + j) % angles.size()];
+            ++checked;
+            commuting += expected ? 1 : 0;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 10000);
+  EXPECT_GT(commuting, 0);
+  EXPECT_LT(commuting, checked);
 }
 
 TEST(CommutationTest, MeasureNeverCommutes) {
@@ -832,6 +938,202 @@ TEST(OptPassTest, CliffordSimpGuardsConnectivityWhenMapped) {
   (void)pass.run(c, ctx);
   EXPECT_TRUE(dev.circuit_respects_topology(c));
   EXPECT_TRUE(qrc::ir::circuits_equivalent(original, c));
+}
+
+/// Op-for-op equality including parameter and global-phase bit patterns
+/// (Circuit::operator== would equate -0.0 with 0.0).
+void expect_bitwise_equal(const Circuit& got, const Circuit& want,
+                          const std::string& what) {
+  ASSERT_EQ(got.num_qubits(), want.num_qubits()) << what;
+  ASSERT_EQ(std::bit_cast<std::uint64_t>(got.global_phase()),
+            std::bit_cast<std::uint64_t>(want.global_phase()))
+      << what;
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const Operation& g = got.ops()[i];
+    const Operation& w = want.ops()[i];
+    ASSERT_EQ(g.kind(), w.kind()) << what << " op " << i;
+    ASSERT_TRUE(std::equal(g.qubits().begin(), g.qubits().end(),
+                           w.qubits().begin(), w.qubits().end()))
+        << what << " op " << i;
+    ASSERT_EQ(g.num_params(), w.num_params()) << what << " op " << i;
+    for (int p = 0; p < g.num_params(); ++p) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(g.param(p)),
+                std::bit_cast<std::uint64_t>(w.param(p)))
+          << what << " op " << i << " param " << p;
+    }
+  }
+}
+
+/// Block consolidation as written before resyntheses were memoised: every
+/// block is rebuilt and decomposed afresh. The reference for
+/// ConsolidateBlocks (min_two_qubit 2) and PeepholeOptimise2Q (1).
+bool reference_consolidate(Circuit& circuit, int min_two_qubit) {
+  bool any = false;
+  for (int sweep = 0; sweep < 8; ++sweep) {
+    const auto blocks = qrc::passes::collect_2q_blocks(circuit);
+    std::vector<bool> removed(circuit.size(), false);
+    std::vector<std::pair<int, std::vector<Operation>>> insertions;
+    double phase = 0.0;
+    for (const auto& blk : blocks) {
+      if (blk.two_qubit_count < min_two_qubit) {
+        continue;
+      }
+      Circuit mini(2);
+      for (const int idx : blk.op_indices) {
+        Operation op = circuit.ops()[static_cast<std::size_t>(idx)];
+        for (int k = 0; k < op.num_qubits(); ++k) {
+          op.set_qubit(k, op.qubit(k) == blk.qubit_a ? 0 : 1);
+        }
+        mini.append(op);
+      }
+      const auto resynth = qrc::passes::decompose_two_qubit_unitary(
+          qrc::passes::two_qubit_circuit_unitary(mini));
+      if (!resynth.has_value()) {
+        continue;
+      }
+      const int old_2q = blk.two_qubit_count;
+      const int old_total = static_cast<int>(blk.op_indices.size());
+      const int new_2q = resynth->two_qubit_gate_count();
+      if (!(new_2q < old_2q ||
+            (new_2q == old_2q && resynth->gate_count() < old_total))) {
+        continue;
+      }
+      std::vector<Operation> mapped;
+      for (Operation op : resynth->ops()) {
+        for (int k = 0; k < op.num_qubits(); ++k) {
+          op.set_qubit(k, op.qubit(k) == 0 ? blk.qubit_a : blk.qubit_b);
+        }
+        mapped.push_back(op);
+      }
+      for (const int idx : blk.op_indices) {
+        removed[static_cast<std::size_t>(idx)] = true;
+      }
+      insertions.emplace_back(blk.op_indices.back(), std::move(mapped));
+      phase += resynth->global_phase();
+    }
+    if (insertions.empty()) {
+      break;
+    }
+    Circuit rebuilt(circuit.num_qubits(), circuit.name());
+    rebuilt.add_global_phase(circuit.global_phase() + phase);
+    for (int i = 0; i < static_cast<int>(circuit.size()); ++i) {
+      for (const auto& [at, ops] : insertions) {
+        if (at == i) {
+          for (const Operation& op : ops) {
+            rebuilt.append(op);
+          }
+        }
+      }
+      if (!removed[static_cast<std::size_t>(i)]) {
+        rebuilt.append(circuit.ops()[static_cast<std::size_t>(i)]);
+      }
+    }
+    circuit = std::move(rebuilt);
+    any = true;
+  }
+  return any;
+}
+
+/// FullPeepholeOptimise spelled out through its public sub-passes, with the
+/// memo-free reference in place of PeepholeOptimise2Q: what the composite
+/// must reproduce.
+bool full_peephole_reference(Circuit& c, const PassContext& ctx) {
+  const qrc::passes::Optimize1qGatesDecomposition opt1q;
+  const qrc::passes::CommutativeCancellation commutative;
+  const qrc::passes::RemoveRedundancies redundancies;
+  bool any = false;
+  for (int round = 0; round < 3; ++round) {
+    bool changed = false;
+    changed |= opt1q.run(c, ctx);
+    changed |= reference_consolidate(c, /*min_two_qubit=*/1);
+    changed |= commutative.run(c, ctx);
+    changed |= redundancies.run(c, ctx);
+    if (!changed) {
+      break;
+    }
+    any = true;
+  }
+  return any;
+}
+
+TEST(OptPassTest, MemoisedConsolidationMatchesTheReferenceBitForBit) {
+  // FullPeepholeOptimise (one memo across its rounds), PeepholeOptimise2Q
+  // and ConsolidateBlocks against the memo-free reference, on every family
+  // at widths 3-7, logical and after native translation, SABRE layout and
+  // routing onto ibmq_montreal (where most of the workload's calls land).
+  const Device& dev = qrc::device::get_device(DeviceId::kIbmqMontreal);
+  const qrc::passes::FullPeepholeOptimise pass;
+  const qrc::passes::BasisTranslator translate;
+  int changed = 0;
+  for (const auto family : qrc::bench::all_families()) {
+    for (int n = 3; n <= 7; ++n) {
+      const Circuit logical = qrc::bench::make_benchmark(family, n, 7);
+      PassContext native_ctx;
+      native_ctx.device = &dev;
+      Circuit native = logical;
+      (void)translate.run(native, native_ctx);
+      const auto layout = qrc::passes::compute_layout(
+          qrc::passes::LayoutKind::kSabre, native, dev, 1);
+      const Circuit mapped =
+          qrc::passes::route(qrc::passes::RoutingKind::kSabreSwap,
+                             qrc::passes::apply_layout(native, layout, dev),
+                             dev, 1)
+              .routed;
+      PassContext mapped_ctx = native_ctx;
+      mapped_ctx.is_mapped = true;
+      for (const auto& [input, ctx] :
+           {std::pair{logical, PassContext{}}, std::pair{mapped, mapped_ctx}}) {
+        const std::string what = std::string(qrc::bench::family_name(family)) +
+                                 "_" + std::to_string(n) +
+                                 (ctx.is_mapped ? " mapped" : " logical");
+        Circuit got = input;
+        Circuit want = input;
+        const bool got_changed = pass.run(got, ctx);
+        ASSERT_EQ(got_changed, full_peephole_reference(want, ctx)) << what;
+        expect_bitwise_equal(got, want, what);
+        changed += got_changed ? 1 : 0;
+        for (const int min_2q : {1, 2}) {
+          got = input;
+          want = input;
+          const bool ran =
+              min_2q == 1
+                  ? qrc::passes::PeepholeOptimise2Q().run(got, ctx)
+                  : qrc::passes::ConsolidateBlocks().run(got, ctx);
+          ASSERT_EQ(ran, reference_consolidate(want, min_2q)) << what;
+          expect_bitwise_equal(got, want, what + " min_2q " +
+                                              std::to_string(min_2q));
+        }
+      }
+    }
+  }
+  EXPECT_GT(changed, 0);
+}
+
+TEST(OptPassTest, FullPeepholeOnPoolWorkersMatchesSerialRuns) {
+  // Pass state (the resynthesis memo) belongs to one call: running the
+  // pass concurrently on four workers must give the serial results.
+  std::vector<Circuit> inputs;
+  for (const auto family : qrc::bench::all_families()) {
+    for (const int n : {4, 6}) {
+      inputs.push_back(qrc::bench::make_benchmark(family, n, 3));
+    }
+  }
+  const qrc::passes::FullPeepholeOptimise pass;
+  std::vector<Circuit> serial = inputs;
+  for (Circuit& c : serial) {
+    (void)pass.run(c, {});
+  }
+  qrc::rl::WorkerPool pool(4);
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    std::vector<Circuit> parallel = inputs;
+    pool.parallel_for(static_cast<int>(parallel.size()), [&](int i) {
+      (void)pass.run(parallel[static_cast<std::size_t>(i)], {});
+    });
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      expect_bitwise_equal(parallel[i], serial[i], inputs[i].name());
+    }
+  }
 }
 
 TEST(OptPassTest, FullPeepholeShrinksMessyCircuit) {

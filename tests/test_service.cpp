@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <future>
 #include <limits>
 #include <random>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -401,6 +403,68 @@ TEST(CompileServiceTest, ConcurrentSubmissionsMatchDirectCompileExactly) {
     histogram_total += static_cast<std::uint64_t>(size) * count;
   }
   EXPECT_EQ(histogram_total, stats.batched_requests);
+}
+
+/// Bit-exact rendering of a compiled circuit: Circuit::operator== (and the
+/// canonical key) equate -0.0 with 0.0, so print parameter bits instead.
+std::string circuit_bits(const Circuit& c) {
+  std::ostringstream os;
+  os << c.num_qubits() << ' '
+     << std::bit_cast<std::uint64_t>(c.global_phase());
+  for (const auto& op : c.ops()) {
+    os << ';' << static_cast<int>(op.kind());
+    for (const int q : op.qubits()) {
+      os << ',' << q;
+    }
+    for (const double p : op.params()) {
+      os << ',' << std::bit_cast<std::uint64_t>(p);
+    }
+  }
+  return os.str();
+}
+
+TEST(CompileServiceTest, PooledLaneCompilesABatchBitwiseEqualTwice) {
+  // Passes run on the lane's pool workers (min(max_batch, hardware
+  // threads) of them: four on a 4-thread host). Nothing a pass caches may
+  // leak between threads or batches: the same batch, compiled twice with
+  // the result cache off, must give bit-identical circuits, equal to a
+  // direct compile.
+  std::vector<Circuit> batch;
+  for (const auto family :
+       {BenchmarkFamily::kQft, BenchmarkFamily::kVqe, BenchmarkFamily::kGhz,
+        BenchmarkFamily::kQaoa}) {
+    for (const int n : {3, 5}) {
+      batch.push_back(qrc::bench::make_benchmark(family, n, 2));
+    }
+  }
+  ServiceConfig config;
+  config.max_batch = 4;
+  config.max_wait_us = 20000;
+  config.cache_entries = 0;
+  CompileService service(config);
+  service.registry().add("fidelity", shared_handle());
+  std::vector<std::vector<std::string>> rounds;
+  for (int round = 0; round < 2; ++round) {
+    std::vector<std::future<ServiceResponse>> futures;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      futures.push_back(
+          service.submit("r" + std::to_string(i), "", batch[i]));
+    }
+    std::vector<std::string> bits;
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      const ServiceResponse response = futures[i].get();
+      EXPECT_FALSE(response.cached);
+      bits.push_back(circuit_bits(response.result.circuit));
+    }
+    rounds.push_back(std::move(bits));
+  }
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(rounds[0][i], rounds[1][i]) << batch[i].name();
+    EXPECT_EQ(rounds[0][i],
+              circuit_bits(shared_model().compile(batch[i]).circuit))
+        << batch[i].name();
+  }
+  EXPECT_GT(service.stats().batches, 0U);
 }
 
 TEST(CompileServiceTest, RepeatRequestIsServedFromTheCache) {

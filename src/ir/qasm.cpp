@@ -314,11 +314,24 @@ int broadcast_count(const std::vector<Operand>& operands) {
   return count;
 }
 
-/// Appends the ops a statement broadcasts to (see broadcast_count).
-void append_broadcast(std::vector<Operation>& ops, GateKind kind,
-                      const std::vector<Operand>& operands,
+/// Upper bound on the ops one text may parse into: kMaxRegisterIndex, or
+/// one op per byte of a longer text. Without broadcast every statement
+/// takes several bytes, so only broadcast can reach it, and then a small
+/// text (e.g. one served request) cannot expand into billions of ops.
+std::size_t max_ops(const std::string& text) {
+  return std::max(static_cast<std::size_t>(kMaxRegisterIndex), text.size());
+}
+
+/// Appends the ops a statement broadcasts to (see broadcast_count);
+/// throws before allocating if that would take `ops` past `limit`.
+void append_broadcast(std::vector<Operation>& ops, std::size_t limit,
+                      GateKind kind, const std::vector<Operand>& operands,
                       std::span<const double> params = {}) {
   const int count = broadcast_count(operands);
+  if (ops.size() + static_cast<std::size_t>(count) > limit) {
+    throw std::runtime_error("more than " + std::to_string(limit) +
+                             " ops after register broadcast");
+  }
   std::vector<int> qubits(operands.size());
   for (int i = 0; i < count; ++i) {
     for (std::size_t k = 0; k < operands.size(); ++k) {
@@ -405,6 +418,7 @@ Circuit from_qasm(const std::string& text) {
   // later qreg declaration widens it.
   std::vector<QuantumRegister> registers;
   std::vector<Operation> ops;
+  const std::size_t op_limit = max_ops(text);
   int num_qubits = 0;
   for (const Statement& statement : split_statements(text)) {
     const std::string& stmt = statement.text;
@@ -457,7 +471,8 @@ Circuit from_qasm(const std::string& text) {
         const std::size_t arrow = measure ? stmt.find("->") : stmt.npos;
         const std::string src = strip(stmt.substr(
             begin, (arrow == std::string::npos ? stmt.size() : arrow) - begin));
-        append_broadcast(ops, measure ? GateKind::kMeasure : GateKind::kReset,
+        append_broadcast(ops, op_limit,
+                         measure ? GateKind::kMeasure : GateKind::kReset,
                          {parse_operand(src, registers)});
         continue;
       }
@@ -508,7 +523,7 @@ Circuit from_qasm(const std::string& text) {
       if (!kind.has_value()) {
         throw std::runtime_error("unknown gate '" + name + "'");
       }
-      append_broadcast(ops, *kind, operands, params);
+      append_broadcast(ops, op_limit, *kind, operands, params);
     } catch (const std::exception& e) {
       throw std::runtime_error("qasm: parse error at line " +
                                std::to_string(statement.line) + ": " +

@@ -26,8 +26,11 @@ inline constexpr double kPi = std::numbers::pi;
 /// branch. `std::complex`'s operator* computes the same four products and
 /// two sums, then calls the out-of-line `__muldc3` to recover an infinity
 /// when both parts come out NaN; for finite operands the two agree bit for
-/// bit as long as the mul/add pairs are not contracted into FMAs (the
-/// library builds with -ffp-contract=off).
+/// bit as long as the mul/add pairs are not contracted into FMAs. The
+/// library builds with -ffp-contract=off, but on FMA targets GCC's
+/// vectorizer still fuses complex products, so only the files that
+/// CMakeLists.txt builds with -fno-tree-vectorize may call this: la/mat2.cpp,
+/// la/mat4.cpp and ir/sim.cpp. A new caller's file joins that list.
 [[nodiscard]] inline cplx mul(cplx a, cplx b) {
   return {a.real() * b.real() - a.imag() * b.imag(),
           a.real() * b.imag() + a.imag() * b.real()};

@@ -720,6 +720,24 @@ TEST(QasmTest, RejectsBroadcastOverMismatchedRegisters) {
   }
 }
 
+TEST(QasmTest, RejectsBroadcastPastTheOpLimit) {
+  // 16 KB of text asking for 1000 x 1,000,000 ops: the parser stops at the
+  // second statement instead of allocating them.
+  std::string text = "qreg q[1000000];\n";
+  for (int i = 0; i < 1000; ++i) {
+    text += "h q;\n";
+  }
+  try {
+    (void)qrc::ir::from_qasm(text);
+    ADD_FAILURE() << "expected a parse error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("qasm: parse error at line 3:", 0), 0U) << what;
+    EXPECT_NE(what.find("ops after register broadcast"), std::string::npos)
+        << what;
+  }
+}
+
 // ----------------------------------------- equality and canonical keys ----
 
 namespace keys {
